@@ -22,10 +22,9 @@
 //! * `expr_heavy` — a random causal DFD of expression blocks: the
 //!   bytecode VM's lane-batched column interpreter.
 //!
-//! A mode-rich controller (opaque MTD blocks, per-lane fallback path) is
+//! A mode-rich controller (its root MTD runs on the MTD lane kernel) is
 //! cross-checked for batch == sequential correctness before timing, but
-//! not timed — its work hides inside a single monolithic block that no
-//! lane kernel can see.
+//! not timed.
 //!
 //! Writes `BENCH_batch.json` at the repository root with
 //! scenarios/second per strategy and the pairwise speedups, per shape,
@@ -231,9 +230,8 @@ fn main() {
         (200, 3, &[1, 8, 32, 128])
     };
 
-    // Opaque-MTD correctness cross-check: the moded controller's work hides
-    // inside one monolithic block, so it exercises the per-lane fallback
-    // path of the batch executor (and is not worth timing as a "shape").
+    // MTD correctness cross-check: the moded controller's root MTD runs on
+    // the MTD lane kernel, each mode subnet on its own lane stepper.
     {
         let (m, id) = moded_controller(if quick { 10 } else { 40 }, 40, 7);
         let inputs = scenarios(4, ticks);

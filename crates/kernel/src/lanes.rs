@@ -289,6 +289,16 @@ impl LaneStore {
     }
 }
 
+/// One lane's failure in a lane-batched step: the lane index and the error
+/// that lane would report under per-lane execution.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LaneFailure {
+    /// The failing lane.
+    pub lane: usize,
+    /// The lane's own error.
+    pub error: KernelError,
+}
+
 /// A lane-batched block kernel: the vectorized counterpart of
 /// [`Block::step_into`] and [`Block::commit`], stepping all K lanes of a
 /// single-output node in one call.
@@ -298,15 +308,25 @@ impl LaneStore {
 /// * The kernel starts from the block's **freshly reset** state and must
 ///   replicate the block's per-lane `step_into`/`commit` semantics exactly
 ///   (bit-exactly for floats) on every lane where `active[l]` is true.
-/// * Lanes where `active[l]` is false (the lane's scenario already ended)
-///   may receive unspecified garbage in `inputs` and may write unspecified
-///   garbage to `out` — the executor never reads those lanes — but the
-///   kernel's *state* for inactive lanes must not change.
-/// * A kernel that can return an error must be stateless and deterministic:
-///   on error the executor re-runs the node's lanes sequentially on a fresh
-///   block replica to attribute the error to the first failing lane, which
-///   is only equivalent when replaying cannot diverge. Stateful kernels
-///   ([`Delay`], [`UnitDelay`], [`Current`]) must be infallible.
+/// * Lanes where `active[l]` is false (the lane's scenario already ended,
+///   or the lane is not routed through this kernel this tick) may receive
+///   unspecified garbage in `inputs` and may write unspecified garbage to
+///   `out` — the executor never reads those lanes — but the kernel's
+///   *state* for inactive lanes must not change.
+/// * A fallible kernel either
+///   - is **stateless and deterministic**: on error the executor re-runs
+///     the node's lanes on a fresh block replica to attribute the error to
+///     each failing lane, which is only equivalent when replaying cannot
+///     diverge; or
+///   - **attributes failures itself** ([`LaneKernel::take_lane_failures`]
+///     returns `true`): a failing call still steps every non-failing
+///     active lane exactly, returns the lowest failing lane's error, and
+///     hands every failing lane's own error to the executor, which then
+///     skips the replay. Stateful fallible kernels (the MTD kernel) must
+///     take this route.
+///
+///   Stateful kernels without attribution ([`Delay`], [`UnitDelay`],
+///   [`Current`]) must be infallible.
 ///
 /// [`Block::step_into`]: crate::ops::Block::step_into
 /// [`Block::commit`]: crate::ops::Block::commit
@@ -323,7 +343,7 @@ pub trait LaneKernel: fmt::Debug {
     /// # Errors
     ///
     /// Same conditions as [`Block::step_into`]; see the trait-level
-    /// contract for the replay requirement.
+    /// contract for how the error is attributed to lanes.
     ///
     /// [`Block::step_into`]: crate::ops::Block::step_into
     fn step_lanes(
@@ -339,21 +359,35 @@ pub trait LaneKernel: fmt::Debug {
     ///
     /// [`Block::commit`]: crate::ops::Block::commit
     fn commit_lanes(&mut self, _t: Tick, _inputs: &[LaneSlice<'_>], _active: &[bool]) {}
+
+    /// After a failed [`LaneKernel::step_lanes`]: appends every failing
+    /// lane's own error to `failures` in ascending lane order and returns
+    /// `true`. The default returns `false` — the kernel is stateless and
+    /// the executor attributes its error by replay.
+    fn take_lane_failures(&mut self, _failures: &mut Vec<LaneFailure>) -> bool {
+        false
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Lane-loop helpers shared by the library kernels and the bytecode VM.
 // ---------------------------------------------------------------------------
 
-/// Whether every *active* lane of `s` carries the given tag.
+/// Whether every *active* lane of `s` carries the given tag. A
+/// branch-free fold: it auto-vectorizes, where a short-circuiting scan
+/// does not.
 #[inline]
 fn all_tagged(s: &LaneSlice<'_>, tag: u8, active: &[bool]) -> bool {
-    if active.iter().all(|&a| a) {
-        // Full-width scan: branch-free, auto-vectorizes.
-        s.tags.iter().all(|&t| t == tag)
-    } else {
-        active.iter().zip(s.tags).all(|(&a, &t)| !a || t == tag)
-    }
+    active
+        .iter()
+        .zip(s.tags)
+        .fold(true, |acc, (&a, &t)| acc & (!a | (t == tag)))
+}
+
+/// Whether every lane is active (branch-free, see [`all_tagged`]).
+#[inline]
+fn all_active(active: &[bool]) -> bool {
+    active.iter().fold(true, |acc, &a| acc & a)
 }
 
 /// Applies `f` lane-wise over two `f64` bit columns.
@@ -414,22 +448,51 @@ fn f64_map1(a: &[u64], out: &mut [u64], f: impl Fn(f64) -> f64) {
     }
 }
 
-/// Copies all lanes of `src` into `out`. When every lane is active this is
-/// a contiguous tag/bit memcpy (plus payload clones where tagged
-/// [`TAG_OTHER`]); otherwise only active lanes are copied.
-pub fn copy_lanes(out: &mut LaneSliceMut<'_>, src: &LaneSlice<'_>, active: &[bool]) {
-    if active.iter().all(|&a| a) {
-        out.tags.copy_from_slice(src.tags);
-        out.bits.copy_from_slice(src.bits);
+/// Copies every lane of `src` into `out` regardless of activity: a
+/// contiguous tag/bit memcpy plus payload clones where tagged
+/// [`TAG_OTHER`].
+fn copy_all_lanes(out: &mut LaneSliceMut<'_>, src: &LaneSlice<'_>) {
+    out.tags.copy_from_slice(src.tags);
+    out.bits.copy_from_slice(src.bits);
+    if src
+        .tags
+        .iter()
+        .fold(false, |acc, &t| acc | (t == TAG_OTHER))
+    {
         for l in 0..src.tags.len() {
             if src.tags[l] == TAG_OTHER {
                 out.other[l] = src.other[l].clone();
             }
         }
-    } else {
+    }
+}
+
+/// Copies all lanes of `src` into `out`. When every lane is active this is
+/// a contiguous tag/bit memcpy (plus payload clones where tagged
+/// [`TAG_OTHER`]); otherwise only active lanes are copied.
+pub fn copy_lanes(out: &mut LaneSliceMut<'_>, src: &LaneSlice<'_>, active: &[bool]) {
+    if all_active(active) {
+        copy_all_lanes(out, src);
+        return;
+    }
+    // Branch-free blend of the scalar columns, then payload clones for
+    // the (rare) active non-scalar lanes.
+    let mut any_other = false;
+    for (((t, b), &a), (&st, &sb)) in out
+        .tags
+        .iter_mut()
+        .zip(out.bits.iter_mut())
+        .zip(active)
+        .zip(src.tags.iter().zip(src.bits))
+    {
+        *t = if a { st } else { *t };
+        *b = if a { sb } else { *b };
+        any_other |= a & (st == TAG_OTHER);
+    }
+    if any_other {
         for (l, &a) in active.iter().enumerate() {
-            if a {
-                out.copy_lane(l, src, l);
+            if a && src.tags[l] == TAG_OTHER {
+                out.other[l] = src.other[l].clone();
             }
         }
     }
@@ -437,7 +500,8 @@ pub fn copy_lanes(out: &mut LaneSliceMut<'_>, src: &LaneSlice<'_>, active: &[boo
 
 /// Lane-batched strict binary operator: for each active lane, absent if
 /// either side is absent, else `apply_binop`. All-`f64` columns take tight
-/// bit-column loops for the infallible arithmetic and comparison operators.
+/// bit-column loops for the infallible arithmetic and comparison operators,
+/// and all-Boolean columns for `and`/`or`.
 ///
 /// # Errors
 ///
@@ -450,6 +514,26 @@ pub fn binop_lanes(
     out: &mut LaneSliceMut<'_>,
     active: &[bool],
 ) -> Result<(), KernelError> {
+    if matches!(op, BinOp::And | BinOp::Or)
+        && all_tagged(a, TAG_BOOL, active)
+        && all_tagged(b, TAG_BOOL, active)
+    {
+        // Uniform Boolean fast path: bits are 0/1 on every active lane, so
+        // the connective is a bitwise op over the columns. Inactive lanes
+        // may hold garbage bits; the result is still a well-formed Boolean
+        // lane the executor never reads.
+        if op == BinOp::And {
+            for ((o, &x), &y) in out.bits.iter_mut().zip(a.bits).zip(b.bits) {
+                *o = x & y;
+            }
+        } else {
+            for ((o, &x), &y) in out.bits.iter_mut().zip(a.bits).zip(b.bits) {
+                *o = x | y;
+            }
+        }
+        out.tags.fill(TAG_BOOL);
+        return Ok(());
+    }
     if all_tagged(a, TAG_F64, active) && all_tagged(b, TAG_F64, active) {
         // Uniform float fast path. Inactive lanes may hold garbage bits;
         // the ops below cannot error, and the executor never reads
@@ -510,8 +594,8 @@ pub fn binop_lanes(
                 out.tags.fill(TAG_BOOL);
                 return Ok(());
             }
-            // Div (division by zero), Rem and the boolean ops fall through
-            // to the general per-lane loop.
+            // Div (division by zero) and Rem fall through to the general
+            // per-lane loop.
             _ => {}
         }
     }
@@ -936,8 +1020,7 @@ impl LaneKernel for DelayLanes {
         if self.clock.is_active(t) {
             // Held state is valid for every lane, so copy the full columns
             // contiguously regardless of the active mask.
-            let all = vec![true; out.len()];
-            copy_lanes(out, &self.held.slice(0), &all);
+            copy_all_lanes(out, &self.held.slice(0));
         } else {
             out.tags.fill(TAG_ABSENT);
         }
@@ -984,24 +1067,17 @@ impl LaneKernel for UnitDelayLanes {
         out: &mut LaneSliceMut<'_>,
         _active: &[bool],
     ) -> Result<(), KernelError> {
-        let all = vec![true; out.len()];
-        copy_lanes(out, &self.held.slice(0), &all);
+        copy_all_lanes(out, &self.held.slice(0));
         Ok(())
     }
 
     fn commit_lanes(&mut self, _t: Tick, inputs: &[LaneSlice<'_>], active: &[bool]) {
         let src = &inputs[0];
         let mut held = self.held.slice_mut(0);
-        if active.iter().all(|&a| a) {
+        if all_active(active) {
             // The rotation: next tick's output columns are this tick's
             // final input columns, moved as two contiguous memcpys.
-            held.tags.copy_from_slice(src.tags);
-            held.bits.copy_from_slice(src.bits);
-            for l in 0..src.tags.len() {
-                if src.tags[l] == TAG_OTHER {
-                    held.other[l] = src.other[l].clone();
-                }
-            }
+            copy_all_lanes(&mut held, src);
         } else {
             for (l, &is_active) in active.iter().enumerate() {
                 if is_active {
@@ -1147,6 +1223,93 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.decode(0, 0), Message::present(false));
+    }
+
+    #[test]
+    fn bool_connectives_match_per_lane_apply() {
+        let t = Message::present(true);
+        let f = Message::present(false);
+        // Uniform Boolean columns (fast path), then with an absent lane
+        // mixed in (generic path).
+        let uniform_a = [t.clone(), t.clone(), f.clone(), f.clone()];
+        let uniform_b = [t.clone(), f.clone(), t.clone(), f.clone()];
+        let mut absent_a = uniform_a.clone();
+        absent_a[1] = Message::Absent;
+        for (xs, ys) in [(&uniform_a, &uniform_b), (&absent_a, &uniform_b)] {
+            let (a, b) = (store_from(xs), store_from(ys));
+            for op in [BinOp::And, BinOp::Or] {
+                let mut out = LaneStore::new(1, 4);
+                binop_lanes(
+                    "t",
+                    op,
+                    &a.slice(0),
+                    &b.slice(0),
+                    &mut out.slice_mut(0),
+                    &[true; 4],
+                )
+                .unwrap();
+                for l in 0..4 {
+                    let expect = match (xs[l].value(), ys[l].value()) {
+                        (Some(x), Some(y)) => Message::Present(apply_binop("t", op, x, y).unwrap()),
+                        _ => Message::Absent,
+                    };
+                    assert_eq!(out.decode(0, l), expect, "op {op:?} lane {l}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bool_connectives_keep_generic_error_text_on_mixed_tags() {
+        // Lane 1 pairs a Boolean with an Int: the fast path must not apply,
+        // and the generic path reports exactly `apply_binop`'s error.
+        let a = store_from(&[Message::present(true), Message::present(true)]);
+        let b = store_from(&[Message::present(false), Message::present(3i64)]);
+        let mut out = LaneStore::new(1, 2);
+        let err = binop_lanes(
+            "ctx",
+            BinOp::Or,
+            &a.slice(0),
+            &b.slice(0),
+            &mut out.slice_mut(0),
+            &[true, true],
+        )
+        .unwrap_err();
+        let expect = apply_binop("ctx", BinOp::Or, &Value::Bool(true), &Value::Int(3)).unwrap_err();
+        assert_eq!(err, expect);
+        assert_eq!(err.to_string(), expect.to_string());
+    }
+
+    #[test]
+    fn bool_fast_path_ignores_inactive_garbage() {
+        // Lane 1 is inactive and carries a float and an absent: the active
+        // lanes are uniformly Boolean, so the bitwise path runs and lane 1's
+        // output is never read.
+        let a = store_from(&[
+            Message::present(true),
+            Message::present(2.5f64),
+            Message::present(false),
+        ]);
+        let b = store_from(&[
+            Message::present(true),
+            Message::Absent,
+            Message::present(true),
+        ]);
+        let active = [true, false, true];
+        for (op, expect) in [(BinOp::And, [true, false]), (BinOp::Or, [true, true])] {
+            let mut out = LaneStore::new(1, 3);
+            binop_lanes(
+                "t",
+                op,
+                &a.slice(0),
+                &b.slice(0),
+                &mut out.slice_mut(0),
+                &active,
+            )
+            .unwrap();
+            assert_eq!(out.decode(0, 0), Message::present(expect[0]), "{op:?}");
+            assert_eq!(out.decode(0, 2), Message::present(expect[1]), "{op:?}");
+        }
     }
 
     #[test]

@@ -78,8 +78,11 @@ pub use fault::{
     ChannelContract, ContractMonitor, Corruptor, FaultKind, FaultSpec, FaultTarget,
     PresenceViolation, RobustnessReport,
 };
-pub use lanes::{LaneKernel, LaneSlice, LaneSliceMut, LaneStore};
-pub use network::{BlockHandle, Network, NodeId, PortRef, ReadyNetwork, ReferenceExecutor};
+pub use lanes::{LaneFailure, LaneKernel, LaneSlice, LaneSliceMut, LaneStore};
+pub use network::{
+    BlockHandle, LanePlan, LaneStepper, Network, NodeId, PortRef, ReadyNetwork, ReferenceExecutor,
+    ReplicaReason,
+};
 pub use ops::{Block, ClockBehavior};
 pub use stream::Stream;
 pub use trace::{Trace, TraceEquivalence};

@@ -54,11 +54,15 @@ use crate::event::{
 use crate::fault::{
     ChannelContract, ContractMonitor, FaultPlan, FaultSite, FaultSpec, FaultTarget,
 };
-use crate::lanes::{LaneKernel, LaneSlice, LaneStore};
+use crate::lanes::{LaneFailure, LaneSlice, LaneStore};
 use crate::ops::{Block, ClockBehavior};
 use crate::trace::Trace;
 use crate::value::Message;
 use crate::{Clock, Tick};
+
+mod stepper;
+
+pub use stepper::{LanePlan, LaneStepper, ReplicaReason};
 
 /// Index of a node (block instance) within a network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -819,6 +823,27 @@ impl ReadyNetwork {
             Engine::Wheel(g) => Some(g.hyperperiod),
             _ => None,
         }
+    }
+
+    /// Whether stepping this network never consults the tick number: it
+    /// runs the dense schedule (no clock-gated wheel or heap), and every
+    /// clock a node declares ([`ClockBehavior::Declared`],
+    /// [`ClockBehavior::BoolGate`]) is active at every tick. Blocks
+    /// declaring no clock are taken not to read the tick — true of every
+    /// library and elaborated block. A tick-invariant network may be
+    /// stepped with any tick numbering, e.g. per-lane step counts that
+    /// differ from the caller's tick.
+    pub fn is_tick_invariant(&self) -> bool {
+        matches!(self.engine, Engine::Dense)
+            && self.blocks.iter().all(|b| match b.clock_behavior() {
+                ClockBehavior::Declared(c) | ClockBehavior::BoolGate(c) => c.is_always_active(),
+                _ => true,
+            })
+    }
+
+    /// Number of external inputs (the stimulus row width).
+    pub fn input_count(&self) -> usize {
+        self.n_inputs
     }
 
     /// How this network will execute ticks: the engine backend in effect,
@@ -1734,7 +1759,8 @@ impl ReadyNetwork {
         Ok(traces)
     }
 
-    /// The typed-column vectorized batch path (see [`crate::lanes`]).
+    /// The typed-column vectorized batch path (see [`crate::lanes`]): a
+    /// loop around one [`LaneStepper`], which owns the typed tick body.
     ///
     /// Messages live in a lane-contiguous typed arena — cell `a` (the
     /// single-run flat arena index) holds its K lanes at `a * K + l` as
@@ -1743,8 +1769,10 @@ impl ReadyNetwork {
     /// once per batch: single-output blocks exposing a
     /// [`Block::lane_kernel`] step all K lanes per call over the columns;
     /// the rest fall back to per-lane replicas that decode from and encode
-    /// back into the columns. Traces are bit-identical to the `Message`
-    /// path (and to K sequential runs), faults and gating included.
+    /// back into the columns. The loop adds quiet-stretch skips, fault
+    /// staging, trace observation and coverage. Traces are bit-identical
+    /// to the `Message` path (and to K sequential runs), faults and gating
+    /// included.
     fn run_batch_typed(
         &self,
         stimuli: &[Vec<Vec<Message>>],
@@ -1806,77 +1834,14 @@ impl ReadyNetwork {
             Vec::new()
         };
 
-        // Classify nodes once per batch: vectorizable nodes get one lane
-        // kernel (starting from reset state, per the `lane_kernel`
-        // contract); the rest get K per-lane replicas. Covered runs force
-        // coverage sites onto the replica path — per-lane discrete state
-        // must stay readable through `Block::coverage_state`, which a
-        // fused lane kernel does not expose.
-        let n = self.blocks.len();
-        let observe_coverage = coverage.is_some();
-        let mut kernels: Vec<Option<Box<dyn LaneKernel>>> = (0..n)
-            .map(|i| {
-                if self.out_offset[i + 1] - self.out_offset[i] == 1
-                    && !(observe_coverage && self.blocks[i].coverage_space().is_some())
-                {
-                    self.blocks[i].lane_kernel(k)
-                } else {
-                    None
-                }
-            })
-            .collect();
-        let mut fallback: Vec<Vec<Box<dyn Block + Send + Sync>>> = (0..n)
-            .map(|i| {
-                if kernels[i].is_some() {
-                    Vec::new()
-                } else {
-                    (0..k)
-                        .map(|_| {
-                            let mut replica = self.blocks[i].clone_block();
-                            replica.reset();
-                            replica
-                        })
-                        .collect()
-                }
-            })
-            .collect();
-
-        let total_outputs = *self.out_offset.last().unwrap();
-        let mut arena = LaneStore::new(total_outputs, k);
+        // Covered runs force coverage sites onto replicas, whose per-lane
+        // discrete state stays readable through `Block::coverage_state`.
+        let mut stepper = LaneStepper::build(self, k, coverage.is_some(), gating_on);
         // External inputs as typed columns, restaged every tick.
         let mut ext = LaneStore::new(self.n_inputs, k);
-        // Shared all-absent cell for open and non-instantaneous ports.
-        let absent = LaneStore::new(1, k);
-        // Vectorized nodes step into this scratch cell, then the columns
-        // are written back to the arena contiguously — keeping the input
-        // borrows and the output writes on disjoint storage.
-        let mut out_buf = LaneStore::new(1, k);
         let mut active = vec![false; k];
         let mut observed = vec![Message::Absent; self.probe_slots.len()];
-        let max_ia = (0..n)
-            .map(|i| self.slot_offset[i + 1] - self.slot_offset[i])
-            .max()
-            .unwrap_or(0);
-        let max_oa = (0..n)
-            .map(|i| self.out_offset[i + 1] - self.out_offset[i])
-            .max()
-            .unwrap_or(0);
-        let mut in_msgs = vec![Message::Absent; max_ia];
-        let mut out_msgs = vec![Message::Absent; max_oa.max(1)];
-
-        // Decodes one input port lane for the fallback/replay paths.
-        let read_lane = |slot: Slot, l: usize, arena: &LaneStore, ext: &LaneStore| match slot {
-            Slot::Open => Message::Absent,
-            Slot::Arena(a) => arena.decode(a, l),
-            Slot::External(e) => ext.decode(e, l),
-        };
-
-        let engine = if gating_on {
-            self.engine.clone()
-        } else {
-            Engine::Dense
-        };
-        let mut heap_cursor: Option<Box<HeapState>> = None;
+        let mut failures: Vec<LaneFailure> = Vec::new();
 
         // `t` indexes every lane's stimulus rows and gates lane activity.
         let mut t = 0usize;
@@ -1892,8 +1857,7 @@ impl ReadyNetwork {
             // `LaneStore` roundtrip is bit-exact). Fault plans disable the
             // skip — fault state must advance per tick.
             if lane_plans.is_none() {
-                let end =
-                    quiet_until_for(&engine, &mut heap_cursor, tick, max_ticks as Tick) as usize;
+                let end = stepper.quiet_until(tick, max_ticks as Tick) as usize;
                 if end > t {
                     for (l, &len) in lens.iter().enumerate() {
                         let upto = len.min(end);
@@ -1904,8 +1868,7 @@ impl ReadyNetwork {
                             observed[j] = match slot {
                                 // Placeholder; patched per row below.
                                 Slot::External(_) => Message::Absent,
-                                Slot::Arena(a) => arena.decode(a, l),
-                                Slot::Open => Message::Absent,
+                                _ => stepper.probe(j, &[]).get(l),
                             };
                         }
                         if self.ext_probe_cols.is_empty() {
@@ -1923,14 +1886,6 @@ impl ReadyNetwork {
                     continue;
                 }
             }
-
-            let act = activation_for(
-                &engine,
-                &self.schedule,
-                &self.commit_nodes,
-                &mut heap_cursor,
-                tick,
-            );
 
             // Stage each active lane's faulted external row for the tick.
             if any_ext_faults {
@@ -1963,127 +1918,19 @@ impl ReadyNetwork {
                     }
                 }
             }
+            let ext_cols: Vec<LaneSlice<'_>> = (0..self.n_inputs).map(|e| ext.slice(e)).collect();
 
-            // Clear all lanes of nodes that just went inert: a contiguous
-            // tag fill.
-            for &i in act.clears {
-                arena.clear_cells(self.out_offset[i]..self.out_offset[i + 1]);
-            }
-
-            // Phase 1: step level by level. A vectorized node steps all
-            // K lanes in one kernel call over borrowed input columns; a
-            // fallback node decodes per lane into `Message` scratch.
-            for level in act.levels {
-                for &i in level {
-                    let ia = self.slot_offset[i + 1] - self.slot_offset[i];
-                    if let Some(kern) = kernels[i].as_mut() {
-                        let port_slices: Vec<LaneSlice<'_>> = (0..ia)
-                            .map(|p| {
-                                let flat = self.slot_offset[i] + p;
-                                if !self.inst(flat) {
-                                    return absent.slice(0);
-                                }
-                                match self.slots[flat] {
-                                    Slot::Open => absent.slice(0),
-                                    Slot::Arena(a) => arena.slice(a),
-                                    Slot::External(e) => ext.slice(e),
-                                }
-                            })
-                            .collect();
-                        let mut out = out_buf.slice_mut(0);
-                        if let Err(err) = kern.step_lanes(tick, &port_slices, &mut out, &active) {
-                            // Replay the node's lanes sequentially on a
-                            // fresh replica so the surfaced error is the
-                            // first failing lane's, exactly as in per-lane
-                            // execution (erroring kernels are stateless by
-                            // contract, so replay cannot diverge).
-                            let mut replica = self.blocks[i].clone_block();
-                            replica.reset();
-                            for (l, &is_active) in active.iter().enumerate() {
-                                if !is_active {
-                                    continue;
-                                }
-                                for (p, m) in in_msgs[..ia].iter_mut().enumerate() {
-                                    let flat = self.slot_offset[i] + p;
-                                    *m = if self.inst(flat) {
-                                        read_lane(self.slots[flat], l, &arena, &ext)
-                                    } else {
-                                        Message::Absent
-                                    };
-                                }
-                                replica.step_into(tick, &in_msgs[..ia], &mut out_msgs[..1])?;
-                            }
-                            return Err(err);
-                        }
-                        drop(port_slices);
-                        arena.write_cell(self.out_offset[i], &out_buf);
-                    } else {
-                        let oa = self.out_offset[i + 1] - self.out_offset[i];
-                        for (l, &is_active) in active.iter().enumerate() {
-                            if !is_active {
-                                continue;
-                            }
-                            for (p, m) in in_msgs[..ia].iter_mut().enumerate() {
-                                let flat = self.slot_offset[i] + p;
-                                *m = if self.inst(flat) {
-                                    read_lane(self.slots[flat], l, &arena, &ext)
-                                } else {
-                                    Message::Absent
-                                };
-                            }
-                            fallback[i][l].step_into(tick, &in_msgs[..ia], &mut out_msgs[..oa])?;
-                            for (p, m) in out_msgs[..oa].iter().enumerate() {
-                                arena.set(self.out_offset[i] + p, l, m);
-                            }
-                        }
-                    }
-                    // Faults land right after the node's outputs commit,
-                    // decoded through the columns per faulted (port, lane).
-                    if let Some(plans) = &mut lane_plans {
-                        for (l, &is_active) in active.iter().enumerate() {
-                            if !is_active {
-                                continue;
-                            }
-                            for (port, st) in &mut plans[l].node_faults[i] {
-                                let cell = self.out_offset[i] + *port;
-                                let mut m = arena.decode(cell, l);
-                                st.apply(tick, &mut m);
-                                arena.set(cell, l, &m);
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Phase 2: commit with final input values. Vectorized nodes
-            // gather all ports as column borrows; fallback nodes decode
-            // per lane.
-            for &i in act.commits {
-                let ia = self.slot_offset[i + 1] - self.slot_offset[i];
-                if let Some(kern) = kernels[i].as_mut() {
-                    let port_slices: Vec<LaneSlice<'_>> = (0..ia)
-                        .map(|p| {
-                            let flat = self.slot_offset[i] + p;
-                            match self.slots[flat] {
-                                Slot::Open => absent.slice(0),
-                                Slot::Arena(a) => arena.slice(a),
-                                Slot::External(e) => ext.slice(e),
-                            }
-                        })
-                        .collect();
-                    kern.commit_lanes(tick, &port_slices, &active);
-                } else {
-                    for (l, &is_active) in active.iter().enumerate() {
-                        if !is_active {
-                            continue;
-                        }
-                        for (p, m) in in_msgs[..ia].iter_mut().enumerate() {
-                            let flat = self.slot_offset[i] + p;
-                            *m = read_lane(self.slots[flat], l, &arena, &ext);
-                        }
-                        fallback[i][l].commit(tick, &in_msgs[..ia]);
-                    }
-                }
+            stepper.step_faulted(
+                tick,
+                &ext_cols,
+                &active,
+                lane_plans.as_deref_mut(),
+                &mut failures,
+            );
+            if !failures.is_empty() {
+                // The first failure in execution order is the error the
+                // node-major per-lane executor reports.
+                return Err(failures.swap_remove(0).error);
             }
 
             // Observe each active lane's probes, decoded from the columns.
@@ -2091,21 +1938,21 @@ impl ReadyNetwork {
                 if !is_active {
                     continue;
                 }
-                for (j, &slot) in self.probe_slots.iter().enumerate() {
-                    observed[j] = read_lane(slot, l, &arena, &ext);
+                for (j, m) in observed.iter_mut().enumerate() {
+                    *m = stepper.probe(j, &ext_cols).get(l);
                 }
                 traces[l].push_row_indexed(&observed)?;
             }
 
             // Observe each active lane's discrete block state. Coverage
-            // sites were forced onto the replica path above, so their
-            // per-lane state is always readable here.
+            // sites run on replicas in covered runs, so their per-lane
+            // state is always readable here.
             if let Some(cov) = coverage.as_deref_mut() {
                 for (l, &is_active) in active.iter().enumerate() {
                     if !is_active {
                         continue;
                     }
-                    cov[l].observe_nodes(|node| fallback[node][l].coverage_state());
+                    cov[l].observe_nodes(|node| stepper.coverage_state(node, l));
                 }
             }
             t += 1;
@@ -2863,6 +2710,92 @@ mod tests {
             let expect = fresh.run(stim).unwrap();
             assert_eq!(batch[lane], expect, "lane {lane}");
         }
+    }
+
+    /// A stateless doubler whose lane kernel must never be requested.
+    #[derive(Debug, Clone)]
+    struct NoKernelPlease;
+
+    impl Block for NoKernelPlease {
+        fn name(&self) -> &str {
+            "no-kernel-please"
+        }
+        fn input_arity(&self) -> usize {
+            1
+        }
+        fn output_arity(&self) -> usize {
+            1
+        }
+        fn step(&mut self, _t: Tick, inputs: &[Message]) -> Result<Vec<Message>, KernelError> {
+            Ok(vec![match inputs[0].value() {
+                Some(v) => Message::Present(crate::ops::apply_binop(
+                    "double",
+                    crate::ops::BinOp::Add,
+                    v,
+                    v,
+                )?),
+                None => Message::Absent,
+            }])
+        }
+        fn clone_block(&self) -> Box<dyn Block + Send + Sync> {
+            Box::new(self.clone())
+        }
+        fn lane_kernel(&self, _k: usize) -> Option<Box<dyn crate::lanes::LaneKernel>> {
+            panic!("the scalar batch path asked for a lane kernel");
+        }
+    }
+
+    #[test]
+    fn scalar_batch_never_builds_lane_kernels() {
+        // With vectorization off the batch runs entirely on per-lane
+        // `Message` replicas: no lane kernel of any kind — an MTD's, a
+        // masked expression interpreter — is ever built, so the scalar
+        // batch stays an independent oracle for them.
+        let mut net = Network::new("scalar");
+        let x = net.add_input("x");
+        let b = net.add_block(NoKernelPlease);
+        net.connect_input(x, b.input(0)).unwrap();
+        net.expose_output("y", b.output(0)).unwrap();
+        let mut ready = net.prepare().unwrap();
+        ready.set_batch_vectorization(false);
+        let stims: Vec<Vec<Vec<Message>>> = (0..3)
+            .map(|l| stimulus_from_streams(&[Stream::from_values([l as i64, 2, 3])]))
+            .collect();
+        let traces = ready.run_batch(&stims).unwrap();
+        assert_eq!(traces[2].signal("y").unwrap()[0], Message::present(4i64));
+    }
+
+    #[test]
+    fn lane_stepper_masks_lanes_and_attributes_failures() {
+        // Three lanes through the (stateful) diamond: a mask that skips
+        // lane 1, then a tick where lane 1 fails. Failures carry their
+        // lane, and the other lanes step on exactly as lone runs do.
+        let ready = diamond().prepare().unwrap();
+        let y = ready.probe_names().position(|n| n == "y").unwrap();
+        let lone = |xs: &[i64]| {
+            let mut net = diamond().prepare().unwrap();
+            let mut last = Message::Absent;
+            for &x in xs {
+                last = net.step_tick_observed(&[Message::present(x)]).unwrap()[y].clone();
+            }
+            last
+        };
+        let mut stepper = LaneStepper::new(&ready, 3);
+        let mut ext = LaneStore::new(1, 3);
+        for (l, v) in [(0, 1i64), (1, 2), (2, 3)] {
+            ext.set(0, l, &Message::present(v));
+        }
+        let mut failures = Vec::new();
+        stepper.step(0, &[ext.slice(0)], &[true, false, true], &mut failures);
+        assert!(failures.is_empty());
+        assert_eq!(stepper.probe(y, &[ext.slice(0)]).get(2), lone(&[3]));
+
+        ext.set(0, 1, &Message::Present(crate::Value::sym("JUNK")));
+        stepper.step(1, &[ext.slice(0)], &[true; 3], &mut failures);
+        assert_eq!(failures.len(), 1);
+        assert_eq!(failures[0].lane, 1);
+        assert_eq!(stepper.probe(y, &[ext.slice(0)]).get(0), lone(&[1, 1]));
+        assert_eq!(stepper.probe(y, &[ext.slice(0)]).get(2), lone(&[3, 3]));
     }
 
     #[test]

@@ -180,6 +180,16 @@ pub trait Block: fmt::Debug {
         None
     }
 
+    /// Why [`Block::lane_kernel`] returns `None`, for lane-plan
+    /// explanations ([`ReadyNetwork::lane_plan`]); only consulted when it
+    /// does. Defaults to [`ReplicaReason::NoLaneKernel`].
+    ///
+    /// [`ReadyNetwork::lane_plan`]: crate::network::ReadyNetwork::lane_plan
+    /// [`ReplicaReason::NoLaneKernel`]: crate::network::ReplicaReason::NoLaneKernel
+    fn lane_refusal(&self) -> crate::network::ReplicaReason {
+        crate::network::ReplicaReason::NoLaneKernel
+    }
+
     /// The discrete state space this block exposes for coverage
     /// observation, or `None` for stateless / continuous-state blocks.
     ///

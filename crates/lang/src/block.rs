@@ -166,12 +166,14 @@ impl Block for ExprBlock {
     }
 
     fn lane_kernel(&self, k: usize) -> Option<Box<dyn LaneKernel>> {
-        // Straight-line programs (operators, `present`, literals) get the
-        // column interpreter stepping all K lanes per instruction;
-        // programs with control flow (`if`, `?`, builtin calls) fall back
-        // to per-lane replicas.
-        let eval = LaneEval::new(Arc::clone(&self.program), Arc::clone(&self.name), k)?;
-        Some(Box::new(eval))
+        // Every program gets the column interpreter stepping all K lanes
+        // per instruction; control flow (`if`, `?`, builtin calls) runs
+        // under per-instruction lane masks.
+        Some(Box::new(LaneEval::new(
+            Arc::clone(&self.program),
+            Arc::clone(&self.name),
+            k,
+        )))
     }
 }
 

@@ -1,6 +1,6 @@
 //! A register-based bytecode VM for base-language expressions.
 //!
-//! [`Program::compile`] lowers an [`Expr`] into straight-line bytecode with
+//! [`Program::compile`] lowers an [`Expr`] into forward-jumping bytecode with
 //! input ports pre-resolved to slot indices, replacing the per-tick AST
 //! walk (and its `SliceScope` string scans) that [`Expr::eval_in`] performs.
 //! The compiler also runs a constant-folding pre-pass and records whether
@@ -387,39 +387,31 @@ impl Program {
             Value::Bool(false),
         )))
     }
-
-    /// `true` when the program is pure straight-line register code —
-    /// operators, `present`, literals and port reads, with no jumps and no
-    /// compile-time-known failures. Exactly these programs qualify for the
-    /// lane-batched column interpreter ([`LaneEval`]): with no control
-    /// flow, every lane executes every instruction, so instruction-major
-    /// column execution is observationally identical to per-lane
-    /// evaluation.
-    fn is_straight_line(&self) -> bool {
-        self.code.iter().all(|i| {
-            matches!(
-                i,
-                Instr::Input { .. }
-                    | Instr::Const { .. }
-                    | Instr::Unary { .. }
-                    | Instr::Binary { .. }
-                    | Instr::Present { .. }
-            )
-        })
-    }
 }
 
-/// Lane-batched interpreter for straight-line programs: each instruction
-/// runs across all K lanes of typed columns before the next dispatches,
-/// so per-tick cost is `instructions × dispatch + K × work` instead of
-/// `K × (instructions × dispatch + work)` — and uniform-`f64` operator
-/// columns collapse into the kernel's tight bit-column loops
-/// ([`binop_lanes`]/[`unop_lanes`]).
+/// Lane-batched interpreter: each instruction runs across all K lanes of
+/// typed columns before the next dispatches, so per-tick cost is
+/// `instructions × dispatch + K × work` instead of
+/// `K × (instructions × dispatch + work)` — and uniform-`f64` (and
+/// Boolean `and`/`or`) operator columns collapse into the kernel's tight
+/// bit-column loops ([`binop_lanes`]/[`unop_lanes`]).
 ///
-/// Registers are K-lane columns; an operator computes into a spare column
-/// which is then swapped with the destination register (the compiler's
-/// stack discipline makes `dst == lhs` the norm, and the swap sidesteps
-/// that aliasing in O(1)). The interpreter holds no cross-tick state —
+/// Control flow is masked. Every jump the compiler emits is forward, so one
+/// linear pass over the code suffices: the pass carries the mask of lanes
+/// executing the current instruction, `Branch`/`JumpIf*` split it, `Jump`
+/// hands it to its target, and each target ORs its incoming lanes back in.
+/// An instruction runs only on its masked lanes, so every lane executes
+/// exactly the instructions — and raises exactly the errors — its own
+/// per-lane evaluation would: a `Fail`, an `if` on a non-Boolean or an
+/// operator error is reported only when an active lane reaches it (lazy
+/// branches stay lazy).
+///
+/// Registers are K-lane columns; an operator computes into a spare column.
+/// While every active lane is executing, the spare is swapped with the
+/// destination register (the compiler's stack discipline makes
+/// `dst == lhs` the norm, and the swap sidesteps that aliasing in O(1));
+/// under a partial mask only the masked lanes are merged in, so the other
+/// lanes keep their values. The interpreter holds no cross-tick state —
 /// columns are fully recomputed from instruction 0 each call — so it
 /// satisfies the [`LaneKernel`] statelessness contract for fallible
 /// kernels.
@@ -427,36 +419,109 @@ impl Program {
 pub struct LaneEval {
     program: Arc<Program>,
     name: Arc<str>,
+    k: usize,
     regs: Vec<LaneStore>,
     tmp: LaneStore,
+    /// Constants pre-encoded as (tag, bits, payload) for broadcast.
+    consts: Vec<(u8, u64, Message)>,
+    /// Per pc: whether some jump targets it (only targets merge masks).
+    target: Vec<bool>,
+    /// Lanes jumping to each pc, `k` per pc plus one row for the end.
+    incoming: Vec<bool>,
+    /// Lanes executing the current instruction.
+    cur: Vec<bool>,
 }
 
 impl LaneEval {
-    /// Builds a lane interpreter for `program`, or `None` when the program
-    /// has control flow (`if`, `?`, builtin calls compile to jumps) or
-    /// embedded compile-time failures and must run per lane.
-    pub fn new(program: Arc<Program>, name: Arc<str>, k: usize) -> Option<LaneEval> {
-        if !program.is_straight_line() {
-            return None;
-        }
+    /// Builds a lane interpreter for `program` over `k` lanes.
+    pub fn new(program: Arc<Program>, name: Arc<str>, k: usize) -> LaneEval {
         let regs = (0..program.num_regs.max(1))
             .map(|_| LaneStore::new(1, k))
             .collect();
-        Some(LaneEval {
+        let consts = program
+            .consts
+            .iter()
+            .map(|v| {
+                let (mut tag, mut bits, mut other) = (TAG_ABSENT, 0u64, Message::Absent);
+                encode_value(v, &mut tag, &mut bits, &mut other);
+                (tag, bits, other)
+            })
+            .collect();
+        let mut target = vec![false; program.code.len() + 1];
+        for instr in &program.code {
+            match *instr {
+                Instr::Jump { to }
+                | Instr::JumpIfAbsent { to, .. }
+                | Instr::JumpIfPresent { to, .. } => {
+                    target[to as usize] = true;
+                }
+                Instr::Branch {
+                    on_false,
+                    on_absent,
+                    ..
+                } => {
+                    target[on_false as usize] = true;
+                    target[on_absent as usize] = true;
+                }
+                _ => {}
+            }
+        }
+        LaneEval {
+            incoming: vec![false; target.len() * k],
             program,
             name,
+            k,
             regs,
             tmp: LaneStore::new(1, k),
-        })
+            consts,
+            target,
+            cur: vec![false; k],
+        }
+    }
+
+    fn lang_error(&self, e: LangError) -> KernelError {
+        // Matches the per-lane wrapping in `ExprBlock::step_into`.
+        KernelError::Block {
+            block: self.name.to_string(),
+            message: e.to_string(),
+        }
     }
 
     fn wrap(&self, e: KernelError) -> KernelError {
-        // Matches the per-lane wrapping in `ExprBlock::step_into`:
         // `LangError::Kernel` displays as the inner kernel error.
-        KernelError::Block {
-            block: self.name.to_string(),
-            message: LangError::from(e).to_string(),
+        self.lang_error(LangError::from(e))
+    }
+
+    /// Moves the current lanes whose condition column selects them to
+    /// `to`; returns whether any lane moved.
+    fn divert(&mut self, to: u32, pick: impl Fn(u8, u64) -> bool, src: u32) -> bool {
+        let k = self.k;
+        let row = &mut self.incoming[to as usize * k..(to as usize + 1) * k];
+        let col = self.regs[src as usize].slice(0);
+        let mut moved = false;
+        for (((r, c), &tag), &bits) in row
+            .iter_mut()
+            .zip(&mut self.cur)
+            .zip(col.tags)
+            .zip(col.bits)
+        {
+            if *c && pick(tag, bits) {
+                *c = false;
+                *r = true;
+                moved = true;
+            }
         }
+        moved
+    }
+}
+
+/// Writes an operator's spare column into register `dst`: a swap while
+/// every active lane executes, a masked merge otherwise.
+fn retire(regs: &mut [LaneStore], dst: u32, tmp: &mut LaneStore, full: bool, mask: &[bool]) {
+    if full {
+        std::mem::swap(tmp, &mut regs[dst as usize]);
+    } else {
+        copy_lanes(&mut regs[dst as usize].slice_mut(0), &tmp.slice(0), mask);
     }
 }
 
@@ -468,48 +533,65 @@ impl LaneKernel for LaneEval {
         out: &mut LaneSliceMut<'_>,
         active: &[bool],
     ) -> Result<(), KernelError> {
-        for instr in &self.program.code {
+        let k = self.k;
+        let program = Arc::clone(&self.program);
+        self.cur.copy_from_slice(active);
+        // `full`: the current mask equals `active`; `live`: it is non-empty.
+        let mut full = true;
+        let mut live = self.cur.iter().any(|&a| a);
+        self.incoming.fill(false);
+        for (pc, instr) in program.code.iter().enumerate() {
+            if self.target[pc] {
+                let row = &self.incoming[pc * k..(pc + 1) * k];
+                if row.iter().any(|&b| b) {
+                    for (c, &b) in self.cur.iter_mut().zip(row) {
+                        *c |= b;
+                    }
+                    live = true;
+                    full = self.cur == active;
+                }
+            }
+            if !live {
+                continue;
+            }
             match instr {
                 Instr::Input { dst, port } => {
                     let Some(src) = inputs.get(*port as usize) else {
-                        return Err(KernelError::Block {
-                            block: self.name.to_string(),
-                            message: LangError::Unbound(
-                                self.program.port_names[*port as usize].clone(),
-                            )
-                            .to_string(),
-                        });
+                        let name = program.port_names[*port as usize].clone();
+                        return Err(self.lang_error(LangError::Unbound(name)));
                     };
-                    let mut d = self.regs[*dst as usize].slice_mut(0);
-                    copy_lanes(&mut d, src, active);
+                    let mask = if full { active } else { &self.cur };
+                    copy_lanes(&mut self.regs[*dst as usize].slice_mut(0), src, mask);
                 }
                 Instr::Const { dst, idx } => {
-                    // Encode the constant once, then broadcast the columns.
-                    let mut tag = 0u8;
-                    let mut bits = 0u64;
-                    let mut other = Message::Absent;
-                    encode_value(
-                        &self.program.consts[*idx as usize],
-                        &mut tag,
-                        &mut bits,
-                        &mut other,
-                    );
+                    let (tag, bits, other) = &self.consts[*idx as usize];
                     let d = self.regs[*dst as usize].slice_mut(0);
-                    d.tags.fill(tag);
-                    d.bits.fill(bits);
-                    if tag == TAG_OTHER {
-                        for o in d.other.iter_mut() {
-                            *o = other.clone();
+                    if *tag == TAG_OTHER {
+                        for l in 0..k {
+                            if full || self.cur[l] {
+                                d.tags[l] = *tag;
+                                d.other[l] = other.clone();
+                            }
+                        }
+                    } else if full {
+                        d.tags.fill(*tag);
+                        d.bits.fill(*bits);
+                    } else {
+                        // Branch-free blend over the masked lanes.
+                        for ((t, b), &c) in d.tags.iter_mut().zip(d.bits.iter_mut()).zip(&self.cur)
+                        {
+                            *t = if c { *tag } else { *t };
+                            *b = if c { *bits } else { *b };
                         }
                     }
                 }
                 Instr::Unary { dst, op, src, ctx } => {
+                    let mask = if full { active } else { &self.cur };
                     let a = self.regs[*src as usize].slice(0);
-                    let mut d = self.tmp.slice_mut(0);
-                    if let Err(e) = unop_lanes(ctx, *op, &a, &mut d, active) {
+                    if let Err(e) = unop_lanes(ctx, *op, &a, &mut self.tmp.slice_mut(0), mask) {
                         return Err(self.wrap(e));
                     }
-                    std::mem::swap(&mut self.tmp, &mut self.regs[*dst as usize]);
+                    retire(&mut self.regs, *dst, &mut self.tmp, full, mask);
                 }
                 Instr::Binary {
                     dst,
@@ -518,35 +600,81 @@ impl LaneKernel for LaneEval {
                     rhs,
                     ctx,
                 } => {
+                    let mask = if full { active } else { &self.cur };
                     let a = self.regs[*lhs as usize].slice(0);
                     let b = self.regs[*rhs as usize].slice(0);
-                    let mut d = self.tmp.slice_mut(0);
-                    if let Err(e) = binop_lanes(ctx, *op, &a, &b, &mut d, active) {
+                    if let Err(e) = binop_lanes(ctx, *op, &a, &b, &mut self.tmp.slice_mut(0), mask)
+                    {
                         return Err(self.wrap(e));
                     }
-                    std::mem::swap(&mut self.tmp, &mut self.regs[*dst as usize]);
+                    retire(&mut self.regs, *dst, &mut self.tmp, full, mask);
                 }
                 Instr::Present { dst, src } => {
+                    let mask = if full { active } else { &self.cur };
                     let s = self.regs[*src as usize].slice(0);
                     let d = self.tmp.slice_mut(0);
                     for ((dt, db), &st) in d.tags.iter_mut().zip(d.bits.iter_mut()).zip(s.tags) {
                         *dt = TAG_BOOL;
                         *db = u64::from(st != TAG_ABSENT);
                     }
-                    std::mem::swap(&mut self.tmp, &mut self.regs[*dst as usize]);
+                    retire(&mut self.regs, *dst, &mut self.tmp, full, mask);
                 }
-                // Unreachable: `LaneEval::new` rejects programs containing
-                // control flow or embedded failures.
-                Instr::SetAbsent { .. }
-                | Instr::Jump { .. }
-                | Instr::JumpIfAbsent { .. }
-                | Instr::JumpIfPresent { .. }
-                | Instr::Branch { .. }
-                | Instr::Fail { .. } => {
-                    return Err(KernelError::Block {
-                        block: self.name.to_string(),
-                        message: "internal: control flow in lane-batched program".into(),
+                Instr::SetAbsent { dst } => {
+                    let d = self.regs[*dst as usize].slice_mut(0);
+                    for (t, &c) in d.tags.iter_mut().zip(&self.cur) {
+                        if c {
+                            *t = TAG_ABSENT;
+                        }
+                    }
+                }
+                Instr::Jump { to } => {
+                    let row = &mut self.incoming[*to as usize * k..(*to as usize + 1) * k];
+                    for (r, c) in row.iter_mut().zip(self.cur.iter_mut()) {
+                        *r |= *c;
+                        *c = false;
+                    }
+                    live = false;
+                    full = false;
+                }
+                Instr::JumpIfAbsent { src, to } => {
+                    if self.divert(*to, |tag, _| tag == TAG_ABSENT, *src) {
+                        full = false;
+                        live = self.cur.iter().any(|&c| c);
+                    }
+                }
+                Instr::JumpIfPresent { src, to } => {
+                    if self.divert(*to, |tag, _| tag != TAG_ABSENT, *src) {
+                        full = false;
+                        live = self.cur.iter().any(|&c| c);
+                    }
+                }
+                Instr::Branch {
+                    src,
+                    on_false,
+                    on_absent,
+                } => {
+                    // A present non-Boolean condition on any executing lane
+                    // is that lane's type error.
+                    let col = self.regs[*src as usize].slice(0);
+                    let bad = (0..k).find(|&l| {
+                        self.cur[l] && col.tags[l] != TAG_ABSENT && col.tags[l] != TAG_BOOL
                     });
+                    if let Some(l) = bad {
+                        let v = col.get_value(l).expect("present lane decodes to a value");
+                        return Err(self.lang_error(LangError::Type(format!(
+                            "`if` condition evaluated to {} `{v}`",
+                            v.type_name()
+                        ))));
+                    }
+                    let a = self.divert(*on_absent, |tag, _| tag == TAG_ABSENT, *src);
+                    let f = self.divert(*on_false, |_, bits| bits == 0, *src);
+                    if a || f {
+                        full = false;
+                        live = self.cur.iter().any(|&c| c);
+                    }
+                }
+                Instr::Fail { err } => {
+                    return Err(self.lang_error(program.errs[*err as usize].clone()));
                 }
             }
         }
@@ -1029,8 +1157,7 @@ mod tests {
         let names: Vec<String> = expr.free_idents();
         let program = Arc::new(Program::compile(&expr, &names));
         let k = rows.len();
-        let mut lanes =
-            LaneEval::new(Arc::clone(&program), Arc::from(src), k).expect("straight-line");
+        let mut lanes = LaneEval::new(Arc::clone(&program), Arc::from(src), k);
 
         // Stage the rows as input columns.
         let n_ports = names.len();
@@ -1135,13 +1262,67 @@ mod tests {
     }
 
     #[test]
-    fn control_flow_programs_are_rejected() {
-        for src in ["if c then 1 else 2", "x ? 0", "clamp(x, 0, 9)"] {
-            let expr = parse(src).unwrap();
-            let names = expr.free_idents();
-            let p = Arc::new(Program::compile(&expr, &names));
-            assert!(LaneEval::new(p, Arc::from(src), 4).is_none(), "{src}");
+    fn lane_interpreter_matches_on_control_flow() {
+        // Lanes split at every `if`, `?` and early-exit builtin call: true,
+        // false and absent conditions, absent call arguments, and a
+        // division by zero sitting in the branch no lane takes.
+        let rows: Vec<Vec<Message>> = vec![
+            vec![Message::present(true), Message::present(3.0f64)],
+            vec![Message::present(false), Message::present(-2.0f64)],
+            vec![Message::Absent, Message::present(9.5f64)],
+            vec![Message::present(true), Message::Absent],
+            vec![Message::present(false), Message::Absent],
+        ];
+        for src in [
+            "if c then x else 0.0 - x",
+            "if c then clamp(x, 0.0, 5.0) else x * 2.0",
+            "x ? 1.0",
+            "(if c then x else 1.0) ? -1.0",
+            "clamp(x, 0.0, 4.0) + 1.0",
+            "if present(x) then x / 2.0 else 0.0",
+            "if c then abs(x) else max(x, 0.0)",
+        ] {
+            assert_lanes_match(src, &rows);
         }
+        // The untaken branch divides by zero on integers; no lane takes it.
+        let ints: Vec<Vec<Message>> = vec![
+            vec![Message::present(true), Message::present(4i64)],
+            vec![Message::Absent, Message::present(7i64)],
+        ];
+        assert_lanes_match("if c then x else x / 0", &ints);
+    }
+
+    #[test]
+    fn lane_interpreter_errors_only_when_a_lane_reaches_the_error() {
+        // A non-Boolean condition, a division by zero and an unknown
+        // function, each reached by one lane only.
+        let rows: Vec<Vec<Message>> = vec![
+            vec![Message::present(true), Message::present(1i64)],
+            vec![Message::present(2i64), Message::present(1i64)],
+        ];
+        assert_lanes_match("if c then x else 0", &rows);
+        let rows: Vec<Vec<Message>> = vec![
+            vec![Message::present(true), Message::present(1i64)],
+            vec![Message::present(false), Message::present(0i64)],
+        ];
+        assert_lanes_match("if c then x else 1 / x", &rows);
+        let expr = parse("if c then x else mystery(x)").unwrap();
+        let names = expr.free_idents();
+        let program = Arc::new(Program::compile(&expr, &names));
+        let mut lanes = LaneEval::new(program, Arc::from("m"), 2);
+        let mut cols = LaneStore::new(2, 2);
+        cols.set(0, 0, &Message::present(true));
+        cols.set(0, 1, &Message::present(false));
+        cols.set(1, 0, &Message::present(1i64));
+        cols.set(1, 1, &Message::present(1i64));
+        let ports = [cols.slice(0), cols.slice(1)];
+        let mut out = LaneStore::new(1, 2);
+        // Lane 1 reaches `mystery` only while active.
+        let ok = lanes.step_lanes(0, &ports, &mut out.slice_mut(0), &[true, false]);
+        assert!(ok.is_ok());
+        assert_eq!(out.decode(0, 0), Message::present(1i64));
+        let err = lanes.step_lanes(0, &ports, &mut out.slice_mut(0), &[true, true]);
+        assert!(err.is_err());
     }
 
     #[test]

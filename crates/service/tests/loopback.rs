@@ -390,7 +390,9 @@ fn client_disconnect_mid_stream_recovers() {
     );
 
     // Hand-rolled client: read just the start of the stream, then drop
-    // the socket while shards are still being produced.
+    // the socket while shards are still being produced. It waits for the
+    // first scenario line, so the handler is already streaming shards —
+    // a drop during the response head would abort before any shard runs.
     {
         let mut s = std::net::TcpStream::connect(addr).unwrap();
         let req = format!(
@@ -398,12 +400,14 @@ fn client_disconnect_mid_stream_recovers() {
             body.len()
         );
         s.write_all(req.as_bytes()).unwrap();
-        let mut first = [0u8; 128];
-        let n = s.read(&mut first).unwrap();
-        assert!(n > 0, "no response at all");
-        assert!(std::str::from_utf8(&first[..n])
-            .unwrap()
-            .starts_with("HTTP/1.1 200"));
+        let mut start = Vec::new();
+        let mut chunk = [0u8; 4096];
+        while !String::from_utf8_lossy(&start).contains("{\"scenario\"") {
+            let n = s.read(&mut chunk).unwrap();
+            assert!(n > 0, "stream ended before its first scenario line");
+            start.extend_from_slice(&chunk[..n]);
+        }
+        assert!(start.starts_with(b"HTTP/1.1 200"));
         // Dropping here closes with unread data in flight → RST; the
         // server's next write fails and its abort path runs.
     }

@@ -192,6 +192,12 @@ impl CompiledSim {
         self.ready.plan_info()
     }
 
+    /// Where each node runs in a typed batch of `k` lanes (see
+    /// [`ReadyNetwork::lane_plan`](automode_kernel::ReadyNetwork::lane_plan)).
+    pub fn lane_plan(&self, k: usize) -> automode_kernel::LanePlan {
+        self.ready.lane_plan(k)
+    }
+
     /// Compile-time sizes and plan facts, for logs and perf triage.
     pub fn stats(&self) -> SimStats {
         SimStats {

@@ -23,13 +23,15 @@
 //! `in:` boundary of their owning instance instead.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use automode_core::model::{Behavior, ComponentId, CompositeKind, Model, Primitive};
 use automode_core::CoreError;
-use automode_kernel::network::{Network, PortRef};
+use automode_kernel::lanes::{LaneFailure, LaneSlice, LaneSliceMut, LaneStore, TAG_BOOL};
+use automode_kernel::network::{LaneStepper, Network, PortRef, ReadyNetwork, ReplicaReason};
 use automode_kernel::ops::{self, Block, PureFn};
-use automode_kernel::{Clock, KernelError, Message, Tick, Value};
-use automode_lang::{Env, ExprBlock, Program, Scratch};
+use automode_kernel::{Clock, KernelError, LaneKernel, Message, Tick, Value};
+use automode_lang::{Env, ExprBlock, LaneEval, Program, Scratch};
 
 use crate::error::SimError;
 
@@ -151,16 +153,17 @@ fn build_instance(
             let mut mode_names = Vec::with_capacity(mtd.modes.len());
             for mode in &mtd.modes {
                 let sub = elaborate(model, mode.behavior)?;
-                subnets.push(std::sync::Arc::new(sub.prepare()?));
+                subnets.push(Arc::new(sub.prepare()?));
                 mode_names.push(mode.name.clone());
             }
             // Transition triggers are compiled to bytecode once, at
             // elaboration — evaluation per tick is then a register-machine
             // run with ports pre-resolved to input slots.
-            let mut triggers: Vec<Vec<(usize, Program)>> = vec![Vec::new(); mtd.modes.len()];
+            let mut triggers: Vec<Vec<(usize, Arc<Program>)>> = vec![Vec::new(); mtd.modes.len()];
             for (mode_idx, trigger_list) in triggers.iter_mut().enumerate() {
                 for t in mtd.transitions_from(mode_idx) {
-                    trigger_list.push((t.to, Program::compile(&t.trigger, &input_names)));
+                    let program = Program::compile(&t.trigger, &input_names);
+                    trigger_list.push((t.to, Arc::new(program)));
                 }
             }
             let out_cols: Vec<Vec<Option<usize>>> = subnets
@@ -178,7 +181,7 @@ fn build_instance(
                 input_names: input_names.clone().into(),
                 output_names: output_names.clone().into(),
                 mode_names: mode_names.into(),
-                pristine: subnets.clone(),
+                pristine: subnets.clone().into(),
                 subnets,
                 out_cols: out_cols.into(),
                 triggers: triggers.into(),
@@ -252,9 +255,13 @@ fn build_instance(
     Ok(Iface { inputs, outputs })
 }
 
+/// Per mode: (target mode, compiled trigger) in priority order.
+type Triggers = Arc<[Vec<(usize, Arc<Program>)>]>;
+
 /// The MTD interpreter block: one elaborated sub-network per mode; only the
-/// active mode steps; transitions are evaluated over the current inputs and
-/// take effect at the next tick (see `automode_core::mtd` docs).
+/// active mode steps. Transitions are evaluated over the current inputs and
+/// switch immediately: the mode reached after the triggers fired produces
+/// this tick's outputs (see `automode_core::mtd` docs).
 ///
 /// Mode subnetworks are held copy-on-write: cloning an `MtdBlock` (per-lane
 /// replication in batched execution) and [`Block::reset`] are O(modes)
@@ -265,21 +272,21 @@ struct MtdBlock {
     // All descriptor fields are shared and immutable after elaboration, so
     // replicating an `MtdBlock` is a handful of refcount bumps; only
     // `current` and the copy-on-write `subnets` carry per-replica state.
-    name: std::sync::Arc<str>,
-    input_names: std::sync::Arc<[String]>,
-    output_names: std::sync::Arc<[String]>,
-    mode_names: std::sync::Arc<[String]>,
+    name: Arc<str>,
+    input_names: Arc<[String]>,
+    output_names: Arc<[String]>,
+    mode_names: Arc<[String]>,
     /// Working per-mode subnetworks; materialized from `pristine` on first
     /// step of a mode.
-    subnets: Vec<std::sync::Arc<automode_kernel::network::ReadyNetwork>>,
+    subnets: Vec<Arc<ReadyNetwork>>,
     /// Never-stepped per-mode subnetworks in their initial state; `reset`
     /// restores these by reference.
-    pristine: Vec<std::sync::Arc<automode_kernel::network::ReadyNetwork>>,
+    pristine: Arc<[Arc<ReadyNetwork>]>,
     /// Per mode: the probe column of each declared output in the subnet's
     /// observed row (`None` -> output is absent in that mode).
-    out_cols: std::sync::Arc<[Vec<Option<usize>>]>,
+    out_cols: Arc<[Vec<Option<usize>>]>,
     /// Per mode: (target, compiled trigger) in priority order.
-    triggers: std::sync::Arc<[Vec<(usize, Program)>]>,
+    triggers: Triggers,
     /// Reusable trigger-VM registers (per-replica, contents transient).
     scratch: Scratch,
     initial: usize,
@@ -303,6 +310,24 @@ impl MtdBlock {
     fn current_mode(&self) -> &str {
         &self.mode_names[self.current]
     }
+
+    /// Whether every mode subnet can be stepped by one lane stepper shared
+    /// by all lanes: lanes in one mode have each stepped that mode a
+    /// different number of times, so the subnets must not read the tick
+    /// (elaborated blocks read it only through declared clocks).
+    fn modes_tick_invariant(&self) -> bool {
+        self.pristine
+            .iter()
+            .all(|n| n.is_tick_invariant() && n.input_count() == self.input_names.len())
+    }
+}
+
+/// Wraps a trigger evaluation error as the MTD block's error.
+fn trigger_error(block: &str, e: automode_lang::LangError) -> KernelError {
+    KernelError::Block {
+        block: block.to_string(),
+        message: e.to_string(),
+    }
 }
 
 impl Block for MtdBlock {
@@ -315,19 +340,25 @@ impl Block for MtdBlock {
     fn output_arity(&self) -> usize {
         self.output_names.len()
     }
-    fn step(&mut self, _t: Tick, inputs: &[Message]) -> Result<Vec<Message>, KernelError> {
+    fn step(&mut self, t: Tick, inputs: &[Message]) -> Result<Vec<Message>, KernelError> {
+        let mut out = vec![Message::Absent; self.output_names.len()];
+        self.step_into(t, inputs, &mut out)?;
+        Ok(out)
+    }
+    fn step_into(
+        &mut self,
+        _t: Tick,
+        inputs: &[Message],
+        out: &mut [Message],
+    ) -> Result<(), KernelError> {
         // Evaluate transitions over the current inputs FIRST (immediate
         // switching): the mode that produces this tick's outputs is the one
         // reached after the triggers fired — exactly the branch-selection
         // semantics of the If-Then-Else cascades MTDs make explicit.
-        let triggers = std::sync::Arc::clone(&self.triggers);
-        for (target, trigger) in &triggers[self.current] {
+        for (target, trigger) in &self.triggers[self.current] {
             let fired = trigger
                 .eval(inputs, &mut self.scratch)
-                .map_err(|e| KernelError::Block {
-                    block: self.name.to_string(),
-                    message: e.to_string(),
-                })?
+                .map_err(|e| trigger_error(&self.name, e))?
                 .value()
                 .and_then(Value::as_bool)
                 == Some(true);
@@ -336,23 +367,53 @@ impl Block for MtdBlock {
                 break;
             }
         }
-        let observed =
-            std::sync::Arc::make_mut(&mut self.subnets[self.current]).step_tick_observed(inputs)?;
-        let outputs: Vec<Message> = self.out_cols[self.current]
-            .iter()
-            .map(|col| col.map_or(Message::Absent, |j| observed[j].clone()))
-            .collect();
-        Ok(outputs)
+        let observed = Arc::make_mut(&mut self.subnets[self.current]).step_tick_observed(inputs)?;
+        for (slot, col) in out.iter_mut().zip(&self.out_cols[self.current]) {
+            *slot = col.map_or(Message::Absent, |j| observed[j].clone());
+        }
+        Ok(())
     }
     fn needs_commit(&self) -> bool {
         false
     }
     fn reset(&mut self) {
         self.current = self.initial;
-        self.subnets.clone_from(&self.pristine);
+        self.subnets.clear();
+        self.subnets.extend(self.pristine.iter().cloned());
     }
     fn clone_block(&self) -> Box<dyn Block + Send + Sync> {
         Box::new(self.clone())
+    }
+    fn lane_kernel(&self, k: usize) -> Option<Box<dyn LaneKernel>> {
+        if self.output_names.len() != 1 || !self.modes_tick_invariant() {
+            return None;
+        }
+        #[cfg(test)]
+        tests::MTD_KERNELS_BUILT.with(|n| n.set(n.get() + 1));
+        Some(Box::new(MtdLanes {
+            name: Arc::clone(&self.name),
+            k,
+            mode: vec![self.initial; k],
+            next: vec![self.initial; k],
+            pristine: Arc::clone(&self.pristine),
+            triggers: Arc::clone(&self.triggers),
+            out_cols: Arc::clone(&self.out_cols),
+            modes: (0..self.pristine.len()).map(|_| None).collect(),
+            live: vec![false; k],
+            sel: vec![false; k],
+            fired: LaneStore::new(1, k),
+            failures: Vec::new(),
+            sub_failures: Vec::new(),
+            row: vec![Message::Absent; self.input_names.len()],
+            scratch: Scratch::new(),
+        }))
+    }
+    fn lane_refusal(&self) -> ReplicaReason {
+        if self.modes_tick_invariant() {
+            ReplicaReason::NoLaneKernel
+        } else {
+            ReplicaReason::TickDependentModes
+        }
     }
     fn coverage_space(&self) -> Option<automode_kernel::CoverageSpace> {
         let mut transitions = Vec::new();
@@ -369,6 +430,208 @@ impl Block for MtdBlock {
     }
     fn coverage_state(&self) -> usize {
         self.current
+    }
+}
+
+/// The lane state of one MTD mode, built the first time a lane is in it.
+#[derive(Debug)]
+struct ModeLanes {
+    /// The mode subnet's tick body over all K lanes; a lane's columns
+    /// change only on ticks the lane spends in this mode.
+    stepper: LaneStepper<Arc<ReadyNetwork>>,
+    /// The mode's outgoing triggers, in priority order.
+    triggers: Vec<LaneEval>,
+}
+
+/// The MTD lane kernel: [`MtdBlock`]'s per-lane semantics over K lanes.
+///
+/// Each lane carries its own current mode. Per tick, for every mode some
+/// active lanes are in, the mode's triggers run as lane-batched bytecode
+/// under the mask of those lanes, in priority order, and a firing lane
+/// switches immediately (and leaves the remaining triggers' masks). Then
+/// every occupied mode steps its subnet's [`LaneStepper`] under the mask
+/// of the lanes now in it, and copies its output probe into the node's
+/// output column. Mode state is built lazily, mirroring the block's
+/// copy-on-write subnets: a batch pays only for the modes its lanes visit.
+///
+/// The kernel is stateful and can fail in a trigger or in a subnet node,
+/// so it attributes failures itself ([`LaneKernel::take_lane_failures`]):
+/// a failing lane is masked out for the rest of the tick, and the others
+/// step on.
+#[derive(Debug)]
+struct MtdLanes {
+    name: Arc<str>,
+    k: usize,
+    /// Per lane: the current mode.
+    mode: Vec<usize>,
+    /// Per lane: the mode after this tick's triggers.
+    next: Vec<usize>,
+    pristine: Arc<[Arc<ReadyNetwork>]>,
+    triggers: Triggers,
+    out_cols: Arc<[Vec<Option<usize>>]>,
+    modes: Vec<Option<ModeLanes>>,
+    /// Active lanes that have not failed this tick.
+    live: Vec<bool>,
+    /// The lanes of the mode being processed.
+    sel: Vec<bool>,
+    /// Trigger result column.
+    fired: LaneStore,
+    failures: Vec<LaneFailure>,
+    sub_failures: Vec<LaneFailure>,
+    /// One lane's decoded input row, for per-lane trigger attribution.
+    row: Vec<Message>,
+    scratch: Scratch,
+}
+
+impl MtdLanes {
+    /// Marks in `sel` the live lanes whose mode is `m`; false if none is.
+    fn select(&mut self, m: usize) -> bool {
+        let mut any = false;
+        for ((s, &live), &mode) in self.sel.iter_mut().zip(&self.live).zip(&self.mode) {
+            *s = live && mode == m;
+            any |= *s;
+        }
+        any
+    }
+
+    /// Mode `m`'s lane state, built on first use.
+    fn mode_lanes(&mut self, m: usize) -> &mut ModeLanes {
+        let (name, k) = (&self.name, self.k);
+        let (net, triggers) = (&self.pristine[m], &self.triggers[m]);
+        self.modes[m].get_or_insert_with(|| ModeLanes {
+            stepper: LaneStepper::new(Arc::clone(net), k),
+            triggers: triggers
+                .iter()
+                .map(|(_, p)| LaneEval::new(Arc::clone(p), Arc::clone(name), k))
+                .collect(),
+        })
+    }
+
+    /// Records lane `l`'s failure and takes it out of the tick.
+    fn fail(&mut self, l: usize, error: KernelError) {
+        self.live[l] = false;
+        self.sel[l] = false;
+        self.failures.push(LaneFailure { lane: l, error });
+    }
+
+    /// Evaluates mode `m`'s triggers for the lanes in `sel`, in priority
+    /// order; a lane leaves `sel` once one fires or it fails.
+    fn fire_triggers(&mut self, m: usize, t: Tick, inputs: &[LaneSlice<'_>]) {
+        let triggers = Arc::clone(&self.triggers);
+        for (j, (target, program)) in triggers[m].iter().enumerate() {
+            if !self.sel.iter().any(|&s| s) {
+                break;
+            }
+            let mut fired = std::mem::replace(&mut self.fired, LaneStore::new(0, 0));
+            let sel = std::mem::take(&mut self.sel);
+            let stepped =
+                self.mode_lanes(m).triggers[j].step_lanes(t, inputs, &mut fired.slice_mut(0), &sel);
+            self.sel = sel;
+            match stepped {
+                Ok(()) => {
+                    let col = fired.slice(0);
+                    for l in 0..self.k {
+                        if self.sel[l] && col.tags[l] == TAG_BOOL && col.bits[l] != 0 {
+                            self.next[l] = *target;
+                            self.sel[l] = false;
+                        }
+                    }
+                }
+                Err(_) => {
+                    // Some lane's trigger failed: evaluate per lane, as the
+                    // block does, to attribute each lane's own outcome.
+                    for l in 0..self.k {
+                        if !self.sel[l] {
+                            continue;
+                        }
+                        for (m, col) in self.row.iter_mut().zip(inputs) {
+                            *m = col.get(l);
+                        }
+                        match program.eval(&self.row, &mut self.scratch) {
+                            Ok(v) => {
+                                if v.value().and_then(Value::as_bool) == Some(true) {
+                                    self.next[l] = *target;
+                                    self.sel[l] = false;
+                                }
+                            }
+                            Err(e) => {
+                                let error = trigger_error(&self.name, e);
+                                self.fail(l, error);
+                            }
+                        }
+                    }
+                }
+            }
+            self.fired = fired;
+        }
+    }
+}
+
+impl LaneKernel for MtdLanes {
+    fn step_lanes(
+        &mut self,
+        t: Tick,
+        inputs: &[LaneSlice<'_>],
+        out: &mut LaneSliceMut<'_>,
+        active: &[bool],
+    ) -> Result<(), KernelError> {
+        self.failures.clear();
+        self.live.copy_from_slice(active);
+        let n_modes = self.pristine.len();
+
+        // Triggers, per current mode; switches take effect this tick.
+        self.next.copy_from_slice(&self.mode);
+        for m in 0..n_modes {
+            if !self.triggers[m].is_empty() && self.select(m) {
+                self.fire_triggers(m, t, inputs);
+            }
+        }
+        std::mem::swap(&mut self.mode, &mut self.next);
+
+        // Step every occupied mode's subnet and route its output probe.
+        for m in 0..n_modes {
+            if !self.select(m) {
+                continue;
+            }
+            let mut sub_failures = std::mem::take(&mut self.sub_failures);
+            let sel = std::mem::take(&mut self.sel);
+            let ml = self.mode_lanes(m);
+            ml.stepper.step(t, inputs, &sel, &mut sub_failures);
+            self.sel = sel;
+            for f in sub_failures.drain(..) {
+                self.fail(f.lane, f.error);
+            }
+            self.sub_failures = sub_failures;
+            let ml = self.modes[m].as_ref().expect("built above");
+            match self.out_cols[m][0] {
+                None => {
+                    for l in 0..self.k {
+                        if self.sel[l] {
+                            out.set_absent(l);
+                        }
+                    }
+                }
+                Some(j) => {
+                    let src = ml.stepper.probe(j, inputs);
+                    for l in 0..self.k {
+                        if self.sel[l] {
+                            out.copy_lane(l, &src, l);
+                        }
+                    }
+                }
+            }
+        }
+
+        if self.failures.is_empty() {
+            return Ok(());
+        }
+        self.failures.sort_by_key(|f| f.lane);
+        Err(self.failures[0].error.clone())
+    }
+
+    fn take_lane_failures(&mut self, failures: &mut Vec<LaneFailure>) -> bool {
+        failures.append(&mut self.failures);
+        true
     }
 }
 
@@ -495,6 +758,13 @@ mod tests {
     use automode_kernel::network::stimulus_from_streams;
     use automode_kernel::Stream;
     use automode_lang::parse;
+
+    thread_local! {
+        /// MTD lane kernels built on this thread (batch runs build theirs
+        /// on the calling thread).
+        pub(super) static MTD_KERNELS_BUILT: std::cell::Cell<usize> =
+            const { std::cell::Cell::new(0) };
+    }
 
     fn leaf(m: &mut Model, name: &str, expr: &str) -> ComponentId {
         m.add_component(
@@ -659,6 +929,54 @@ mod tests {
         // t3: x=2 fires B->A immediately -> 0.2.
         // t4: x=2, stays A -> 0.2.
         assert_eq!(ys, vec![0.2, 20.0, 20.0, 0.2, 0.2]);
+    }
+
+    #[test]
+    fn only_the_vectorized_batch_builds_mtd_lane_kernels() {
+        use automode_kernel::network::stimulus_from_fns;
+
+        let mut m = Model::new("t");
+        let a = leaf(&mut m, "Constant", "0.2 + x * 0.0");
+        let b = leaf(
+            &mut m,
+            "Clamped",
+            "if x > 15.0 then clamp(x, 0.0, 18.0) else x",
+        );
+        let mut mtd = Mtd::new();
+        let ma = mtd.add_mode("A", a);
+        let mb = mtd.add_mode("B", b);
+        mtd.add_transition(ma, mb, parse("x > 10.0").unwrap(), 0);
+        mtd.add_transition(mb, ma, parse("x < 5.0").unwrap(), 0);
+        let owner = m
+            .add_component(
+                Component::new("Switcher")
+                    .input("x", DataType::Float)
+                    .output("y", DataType::Float)
+                    .with_behavior(Behavior::Mtd(mtd)),
+            )
+            .unwrap();
+        let mut ready = elaborate(&m, owner).unwrap().prepare().unwrap();
+        let stims: Vec<Vec<Vec<Message>>> = (0..4)
+            .map(|l| {
+                stimulus_from_fns(
+                    12,
+                    vec![Box::new(move |t| {
+                        Message::present(((t as i64 * (l + 1)) % 21) as f64)
+                    })],
+                )
+            })
+            .collect();
+        let built = || MTD_KERNELS_BUILT.with(std::cell::Cell::get);
+
+        let before = built();
+        ready.set_batch_vectorization(false);
+        let scalar = ready.run_batch(&stims).unwrap();
+        assert_eq!(built(), before, "the scalar batch built an MTD lane kernel");
+
+        ready.set_batch_vectorization(true);
+        let typed = ready.run_batch(&stims).unwrap();
+        assert_eq!(built(), before + 1);
+        assert_eq!(typed, scalar);
     }
 
     #[test]

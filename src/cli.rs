@@ -162,11 +162,17 @@ fn default_stream(port: &str, ticks: usize) -> Stream {
     }
 }
 
+/// The lane count `--explain-plan` describes: the sweep service's default
+/// lanes per batch.
+const EXPLAIN_LANES: usize = 32;
+
 /// `automode simulate <model> [ticks] [--explain-plan]` — run with the
 /// default stimulus and print the Fig. 1-style trace table. With
 /// `--explain-plan`, the compiled network's execution plan (engine
 /// backend, gated hyperperiod, and the wheel-rejection reason when the
-/// calendar fast path fell off) is printed first.
+/// calendar fast path fell off) and its lane plan for a batch of
+/// [`EXPLAIN_LANES`] lanes (vectorized and replica node counts, and why
+/// each replica node fell off the lane path) are printed first.
 ///
 /// # Errors
 ///
@@ -190,6 +196,7 @@ pub fn cmd_simulate(
     if explain_plan {
         let net = automode_sim::elaborate(&m, id)?.prepare()?;
         let _ = writeln!(out, "execution plan: {}", net.plan_info());
+        let _ = writeln!(out, "lane plan: {}", net.lane_plan(EXPLAIN_LANES));
     }
     let run = simulate_component(&m, id, &borrowed, ticks)?;
     let _ = writeln!(out, "{}", run.trace);
@@ -1041,6 +1048,15 @@ mod tests {
         .unwrap();
         assert!(out.contains("execution plan:"));
         assert!(run(&["simulate".into(), "momentum".into(), "--bogus".into()]).is_err());
+    }
+
+    #[test]
+    fn explain_plan_reports_the_lane_plan() {
+        // The Sec. 5 engine runs every node on a lane kernel at K = 32.
+        let out = cmd_simulate("engine", 8, true).unwrap();
+        assert!(out.contains("lane plan: lanes=32 "), "{out}");
+        assert!(out.contains(" replica=0\n"), "{out}");
+        assert!(!out.contains("  replica "), "{out}");
     }
 
     #[test]
