@@ -445,11 +445,6 @@ fn handle_sweep(shared: &Arc<Shared>, stream: &mut TcpStream, body: &str) {
         }
     };
 
-    let head =
-        "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n";
-    if stream.write_all(head.as_bytes()).is_err() {
-        return;
-    }
     let mut w = JsonWriter::with_capacity(256);
     w.begin_object();
     w.field("sweep");
@@ -463,7 +458,13 @@ fn handle_sweep(shared: &Arc<Shared>, stream: &mut TcpStream, body: &str) {
     sim_stats_to_json(&mut w, &sim.stats());
     w.end_object();
     w.end_object();
-    if write_chunk(stream, &w.finish()).is_err() {
+    let head =
+        "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n";
+    if stream.write_all(head.as_bytes()).is_err() || write_chunk(stream, &w.finish()).is_err() {
+        // The client left before any shard ran; the sweep still counts
+        // (as failed).
+        shared.sweeps.fetch_add(1, Relaxed);
+        shared.failed_sweeps.fetch_add(1, Relaxed);
         return;
     }
 
@@ -549,6 +550,8 @@ fn handle_explore(shared: &Arc<Shared>, stream: &mut TcpStream, body: &str) {
     let head =
         "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n";
     if stream.write_all(head.as_bytes()).is_err() {
+        shared.explores.fetch_add(1, Relaxed);
+        shared.failed_explores.fetch_add(1, Relaxed);
         return;
     }
     let result = execute_explore(&spec, &sim, key, hit, &shared.pool, started, &mut |line| {

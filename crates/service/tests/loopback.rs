@@ -360,11 +360,13 @@ fn explore_streams_generations_repros_and_done() {
     server.shutdown();
 }
 
-/// A client that vanishes mid-stream must not poison the service: the
-/// reorder buffer drains, no pool shard leaks, and the next sweep on the
-/// same server completes in full.
-#[test]
-fn client_disconnect_mid_stream_recovers() {
+/// Sends a large traced sweep from a hand-rolled client that reads (in
+/// small pieces) until `marker` appears in the response and then drops
+/// the socket, follows it
+/// with a well-behaved sweep of the same spec, and waits until `/stats`
+/// accounts for both. Returns the final `sweeps.failed` and
+/// `pool.executed` counters and the shard count of one complete sweep.
+fn disconnect_then_sweep(marker: &str) -> (u64, u64, u64) {
     use std::io::{Read, Write};
 
     let server = serve(ServerConfig {
@@ -389,10 +391,6 @@ fn client_disconnect_mid_stream_recovers() {
         ),
     );
 
-    // Hand-rolled client: read just the start of the stream, then drop
-    // the socket while shards are still being produced. It waits for the
-    // first scenario line, so the handler is already streaming shards —
-    // a drop during the response head would abort before any shard runs.
     {
         let mut s = std::net::TcpStream::connect(addr).unwrap();
         let req = format!(
@@ -401,10 +399,10 @@ fn client_disconnect_mid_stream_recovers() {
         );
         s.write_all(req.as_bytes()).unwrap();
         let mut start = Vec::new();
-        let mut chunk = [0u8; 4096];
-        while !String::from_utf8_lossy(&start).contains("{\"scenario\"") {
+        let mut chunk = [0u8; 128];
+        while !String::from_utf8_lossy(&start).contains(marker) {
             let n = s.read(&mut chunk).unwrap();
-            assert!(n > 0, "stream ended before its first scenario line");
+            assert!(n > 0, "stream ended before {marker:?}");
             start.extend_from_slice(&chunk[..n]);
         }
         assert!(start.starts_with(b"HTTP/1.1 200"));
@@ -425,19 +423,15 @@ fn client_disconnect_mid_stream_recovers() {
         Some("ok")
     );
 
-    // The aborted connection's handler keeps draining its shards in the
-    // background; poll until both sweeps are accounted for.
+    // The aborted connection's handler may still be draining its shards
+    // in the background; poll until both sweeps are accounted for.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
     loop {
         let (_, stats) = get(addr, "/stats").unwrap();
         let stats = parse(&stats).unwrap();
         let sweeps = stats.get("sweeps").unwrap();
         if sweeps.get("total").unwrap().as_u64() == Some(2) {
-            // Exactly the aborted sweep is failed. The abort path stops
-            // *submitting* new shards but drains the in-flight window, so
-            // the pool executed the complete sweep's shards plus a few
-            // from the aborted one — and nothing is left queued.
-            assert_eq!(sweeps.get("failed").unwrap().as_u64(), Some(1));
+            let failed = sweeps.get("failed").unwrap().as_u64().unwrap();
             let executed = stats
                 .get("pool")
                 .unwrap()
@@ -445,19 +439,43 @@ fn client_disconnect_mid_stream_recovers() {
                 .unwrap()
                 .as_u64()
                 .unwrap();
-            assert!(
-                executed > (count as u64).div_ceil(lanes as u64),
-                "pool executed only {executed} shards"
-            );
-            break;
+            server.shutdown();
+            return (failed, executed, (count as u64).div_ceil(lanes as u64));
         }
         assert!(
             std::time::Instant::now() < deadline,
-            "aborted sweep never drained"
+            "aborted sweep never accounted for"
         );
         std::thread::sleep(std::time::Duration::from_millis(20));
     }
-    server.shutdown();
+}
+
+/// A client that vanishes mid-stream must not poison the service: the
+/// reorder buffer drains, no pool shard leaks, and the next sweep on the
+/// same server completes in full.
+#[test]
+fn client_disconnect_mid_stream_recovers() {
+    // Waiting for the first scenario line means shards are already
+    // streaming when the client leaves.
+    let (failed, executed, shards) = disconnect_then_sweep("{\"scenario\"");
+    // Exactly the aborted sweep is failed. The abort path stops
+    // *submitting* new shards but drains the in-flight window, so the pool
+    // executed the complete sweep's shards plus a few from the aborted one
+    // — and nothing is left queued.
+    assert_eq!(failed, 1);
+    assert!(executed > shards, "pool executed only {executed} shards");
+}
+
+/// A client that leaves right after the response head — possibly before
+/// the handler has written its header line or run any shard — still
+/// leaves exactly one failed sweep in `/stats`, and the service recovers.
+#[test]
+fn client_disconnect_after_response_head_is_counted() {
+    // One read of at most 128 bytes: the head and maybe the start of the
+    // header line.
+    let (failed, executed, shards) = disconnect_then_sweep("HTTP/1.1 200");
+    assert_eq!(failed, 1);
+    assert!(executed >= shards, "pool executed only {executed} shards");
 }
 
 #[test]
