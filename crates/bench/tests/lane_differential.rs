@@ -353,10 +353,9 @@ fn poison(lane: &mut [(&str, Stream)], port: &str, t: usize) {
     *s = vals.into_iter().collect();
 }
 
-#[test]
-fn errors_are_attributed_to_the_lowest_failing_lane() {
-    // Two modes switching on `x`; the mode bodies read `y`, so a symbol on
-    // `y` fails a subnet node and a symbol on `x` fails a trigger.
+/// Two modes switching on `x`; the mode bodies read `y`, so a symbol on
+/// `y` fails a subnet node and a symbol on `x` fails a trigger.
+fn faulty_switch() -> CompiledSim {
     let mut m = Model::new("faulty");
     let a = leaf(&mut m, "A", "y * 2.0");
     let b = leaf(&mut m, "B", "if y > 0.0 then y else 0.0 - y");
@@ -366,7 +365,12 @@ fn errors_are_attributed_to_the_lowest_failing_lane() {
         &[("A", a), ("B", b)],
         &[(0, 1, "x > 2.0"), (1, 0, "x < 0.5")],
     );
-    let sim = CompiledSim::new(&m, sw).unwrap();
+    CompiledSim::new(&m, sw).unwrap()
+}
+
+#[test]
+fn errors_are_attributed_to_the_lowest_failing_lane() {
+    let sim = faulty_switch();
     let lanes = xy_lanes(&[12; 6], 3);
 
     // A subnet failure on lane 2 and a trigger failure on lane 4, both at
@@ -407,4 +411,29 @@ fn errors_are_attributed_to_the_lowest_failing_lane() {
     poison(&mut bad[5], "y", 2);
     poison(&mut bad[0], "y", 9);
     assert_same_error(&sim, &bad, 12, 5);
+}
+
+/// Above 16 lanes the scalar batch runs in 16-lane blocks, each through
+/// every tick before the next, while the typed batch goes tick by tick over
+/// all lanes. Each reports its own first failure: with an early failure in
+/// the second block (a trigger) and a later one in the first (a subnet
+/// node), the typed batch reports the early one and the scalar batch the
+/// one in its first block.
+#[test]
+fn above_sixteen_lanes_each_path_reports_its_first_failure() {
+    let sim = faulty_switch();
+    let mut bad = xy_lanes(&[12; 20], 11);
+    poison(&mut bad[18], "x", 2);
+    poison(&mut bad[3], "y", 9);
+    let scenarios: Vec<BatchScenario<'_>> = bad.iter().map(|l| BatchScenario::new(l, 12)).collect();
+    let alone = |l: usize| sim.clone().run(&bad[l], 12).expect_err("lane fails alone");
+    let typed = sim.run_batch(&scenarios).expect_err("typed batch fails");
+    let messages = scalar(&sim)
+        .run_batch(&scenarios)
+        .expect_err("scalar batch fails");
+    assert_eq!(typed, alone(18));
+    assert_eq!(messages, alone(3));
+    assert_ne!(typed, messages);
+    // Within one 16-lane block the two paths agree.
+    assert_same_error(&sim, &bad[..16], 12, 3);
 }

@@ -1928,8 +1928,11 @@ impl ReadyNetwork {
                 &mut failures,
             );
             if !failures.is_empty() {
-                // The first failure in execution order is the error the
-                // node-major per-lane executor reports.
+                // The first failure in execution order: the error the
+                // `Message` path reports for batches of up to 16 lanes.
+                // Wider `Message` batches run 16-lane blocks one after the
+                // other and report the first failing block's error, which
+                // can belong to a lane that fails at a later tick.
                 return Err(failures.swap_remove(0).error);
             }
 

@@ -447,21 +447,25 @@ impl LaneEval {
                 (tag, bits, other)
             })
             .collect();
+        // The single masked pass is exact only if every jump is forward: a
+        // lane sent back to an already-passed pc would silently drop out.
         let mut target = vec![false; program.code.len() + 1];
-        for instr in &program.code {
+        for (pc, instr) in program.code.iter().enumerate() {
+            let mut mark = |to: u32| {
+                debug_assert!(to as usize > pc, "backward jump {pc} -> {to}");
+                target[to as usize] = true;
+            };
             match *instr {
                 Instr::Jump { to }
                 | Instr::JumpIfAbsent { to, .. }
-                | Instr::JumpIfPresent { to, .. } => {
-                    target[to as usize] = true;
-                }
+                | Instr::JumpIfPresent { to, .. } => mark(to),
                 Instr::Branch {
                     on_false,
                     on_absent,
                     ..
                 } => {
-                    target[on_false as usize] = true;
-                    target[on_absent as usize] = true;
+                    mark(on_false);
+                    mark(on_absent);
                 }
                 _ => {}
             }

@@ -388,8 +388,6 @@ impl Block for MtdBlock {
         if self.output_names.len() != 1 || !self.modes_tick_invariant() {
             return None;
         }
-        #[cfg(test)]
-        tests::MTD_KERNELS_BUILT.with(|n| n.set(n.get() + 1));
         Some(Box::new(MtdLanes {
             name: Arc::clone(&self.name),
             k,
@@ -759,13 +757,6 @@ mod tests {
     use automode_kernel::Stream;
     use automode_lang::parse;
 
-    thread_local! {
-        /// MTD lane kernels built on this thread (batch runs build theirs
-        /// on the calling thread).
-        pub(super) static MTD_KERNELS_BUILT: std::cell::Cell<usize> =
-            const { std::cell::Cell::new(0) };
-    }
-
     fn leaf(m: &mut Model, name: &str, expr: &str) -> ComponentId {
         m.add_component(
             Component::new(name)
@@ -932,7 +923,7 @@ mod tests {
     }
 
     #[test]
-    fn only_the_vectorized_batch_builds_mtd_lane_kernels() {
+    fn mtd_lane_kernel_matches_the_scalar_batch() {
         use automode_kernel::network::stimulus_from_fns;
 
         let mut m = Model::new("t");
@@ -966,16 +957,13 @@ mod tests {
                 )
             })
             .collect();
-        let built = || MTD_KERNELS_BUILT.with(std::cell::Cell::get);
+        // The MTD (with an `if … clamp` mode body) runs as a lane kernel.
+        let plan = ready.lane_plan(stims.len());
+        assert_eq!(plan.replicas().count(), 0, "{plan}");
 
-        let before = built();
+        let typed = ready.run_batch(&stims).unwrap();
         ready.set_batch_vectorization(false);
         let scalar = ready.run_batch(&stims).unwrap();
-        assert_eq!(built(), before, "the scalar batch built an MTD lane kernel");
-
-        ready.set_batch_vectorization(true);
-        let typed = ready.run_batch(&stims).unwrap();
-        assert_eq!(built(), before + 1);
         assert_eq!(typed, scalar);
     }
 
