@@ -1,11 +1,12 @@
 //! Lane differential suite: the typed batch path — lane kernels for every
 //! node, MTDs and `if`/`clamp` expressions included — against K sequential
-//! [`CompiledSim::run`] calls and against the vectorization-off batch (the
-//! scalar per-lane `Message` path), bit for bit, on mode-switching models:
-//! the reengineered engine of Sec. 5, the Fig. 6 engine-operation MTD, a
-//! generated 8-mode controller, nested MTDs and lanes of different
-//! lengths. Failing runs must report the error per-lane execution
-//! reports, whichever lane and node fails.
+//! [`CompiledSim::run`] calls and against the vectorization-off batch
+//! (each lane run alone through the single-run loop), bit for bit, on
+//! mode-switching models: the reengineered engine of Sec. 5, the Fig. 6
+//! engine-operation MTD, a generated 8-mode controller, nested MTDs and
+//! lanes of different lengths. A failing batch must report the error of
+//! its lowest failing lane, exactly as that lane reports it alone,
+//! whichever node fails and at whichever tick.
 
 use automode_core::model::{
     Behavior, Component, ComponentId, Composite, CompositeKind, Endpoint, Model, Primitive,
@@ -46,7 +47,8 @@ fn trace_bits(trace: &Trace) -> Vec<(String, Vec<Cell>)> {
         .collect()
 }
 
-/// The vectorization-off twin of `sim`: the scalar per-lane oracle.
+/// The vectorization-off twin of `sim`: the scalar oracle, which runs
+/// each lane alone.
 fn scalar(sim: &CompiledSim) -> CompiledSim {
     let mut s = sim.clone();
     s.set_batch_vectorization(false);
@@ -321,23 +323,27 @@ fn heterogeneous_lane_lengths_match() {
     assert_lanes_agree(&sim, &lanes, &lens);
 }
 
-/// Runs `lanes` typed, scalar and — for `culprit` — alone, expecting all
-/// three to fail with the same error; returns it.
+/// Runs `lanes` (lane `l` for `ticks[l]` ticks) typed, scalar and — for
+/// `culprit` — alone, expecting all three to fail with the same error;
+/// returns it.
 fn assert_same_error(
     sim: &CompiledSim,
     lanes: &[Vec<(&str, Stream)>],
-    ticks: usize,
+    ticks: &[usize],
     culprit: usize,
 ) -> SimError {
-    let scenarios: Vec<BatchScenario<'_>> =
-        lanes.iter().map(|l| BatchScenario::new(l, ticks)).collect();
+    let scenarios: Vec<BatchScenario<'_>> = lanes
+        .iter()
+        .zip(ticks)
+        .map(|(l, &t)| BatchScenario::new(l, t))
+        .collect();
     let typed = sim.run_batch(&scenarios).expect_err("typed batch fails");
     let messages = scalar(sim)
         .run_batch(&scenarios)
         .expect_err("scalar batch fails");
     let solo = sim
         .clone()
-        .run(&lanes[culprit], ticks)
+        .run(&lanes[culprit], ticks[culprit])
         .expect_err("the culprit lane fails alone");
     assert_eq!(typed, messages);
     assert_eq!(typed, solo);
@@ -378,7 +384,7 @@ fn errors_are_attributed_to_the_lowest_failing_lane() {
     let mut bad = lanes.clone();
     poison(&mut bad[2], "y", 5);
     poison(&mut bad[4], "x", 5);
-    let e = assert_same_error(&sim, &bad, 12, 2);
+    let e = assert_same_error(&sim, &bad, &[12; 6], 2);
     assert!(
         !e.to_string().contains("mtd:"),
         "subnet error expected: {e}"
@@ -388,7 +394,7 @@ fn errors_are_attributed_to_the_lowest_failing_lane() {
     let mut bad = lanes.clone();
     poison(&mut bad[1], "x", 5);
     poison(&mut bad[3], "y", 5);
-    let e = assert_same_error(&sim, &bad, 12, 1);
+    let e = assert_same_error(&sim, &bad, &[12; 6], 1);
     assert!(
         e.to_string().contains("mtd:Sw"),
         "trigger error expected: {e}"
@@ -404,36 +410,53 @@ fn errors_are_attributed_to_the_lowest_failing_lane() {
     }
     poison(&mut bad[1], "y", 6);
     poison(&mut bad[3], "x", 6);
-    assert_same_error(&sim, &bad, 12, 1);
+    assert_same_error(&sim, &bad, &[12; 6], 1);
 
-    // A failure on an earlier tick beats lower lanes failing later.
+    // A lower lane failing later beats a failure on an earlier tick, as
+    // in K sequential runs.
     let mut bad = xy_lanes(&[12; 6], 8);
     poison(&mut bad[5], "y", 2);
     poison(&mut bad[0], "y", 9);
-    assert_same_error(&sim, &bad, 12, 5);
+    assert_same_error(&sim, &bad, &[12; 6], 0);
 }
 
-/// Above 16 lanes the scalar batch runs in 16-lane blocks, each through
-/// every tick before the next, while the typed batch goes tick by tick over
-/// all lanes. Each reports its own first failure: with an early failure in
-/// the second block (a trigger) and a later one in the first (a subnet
-/// node), the typed batch reports the early one and the scalar batch the
-/// one in its first block.
+/// Above 16 lanes, with an early failure high up (a trigger on lane 18 at
+/// tick 2) and a later one low down (a subnet node on lane 3 at tick 9),
+/// both paths report lane 3's error.
 #[test]
-fn above_sixteen_lanes_each_path_reports_its_first_failure() {
+fn above_sixteen_lanes_the_lowest_failing_lane_wins() {
     let sim = faulty_switch();
     let mut bad = xy_lanes(&[12; 20], 11);
     poison(&mut bad[18], "x", 2);
     poison(&mut bad[3], "y", 9);
-    let scenarios: Vec<BatchScenario<'_>> = bad.iter().map(|l| BatchScenario::new(l, 12)).collect();
-    let alone = |l: usize| sim.clone().run(&bad[l], 12).expect_err("lane fails alone");
-    let typed = sim.run_batch(&scenarios).expect_err("typed batch fails");
-    let messages = scalar(&sim)
-        .run_batch(&scenarios)
-        .expect_err("scalar batch fails");
-    assert_eq!(typed, alone(18));
-    assert_eq!(messages, alone(3));
-    assert_ne!(typed, messages);
-    // Within one 16-lane block the two paths agree.
-    assert_same_error(&sim, &bad[..16], 12, 3);
+    let e = assert_same_error(&sim, &bad, &[12; 20], 3);
+    assert!(
+        !e.to_string().contains("mtd:"),
+        "subnet error expected: {e}"
+    );
+}
+
+/// At every batch width the service and the tests use, the typed and the
+/// scalar batch agree: identical traces when no lane fails, otherwise the
+/// lowest failing lane's own error — with higher lanes failing earlier
+/// and lower lanes of every length, some ending before the failure.
+#[test]
+fn every_batch_width_agrees_on_traces_and_errors() {
+    let sim = faulty_switch();
+    for k in [1, 6, 16, 20, 32] {
+        let lens: Vec<usize> = (0..k).map(|l| 4 + (l * 7) % 9).collect();
+        let lanes = xy_lanes(&lens, k as u64);
+        assert_lanes_agree(&sim, &lanes, &lens);
+
+        let culprit = k / 2;
+        let mut lens: Vec<usize> = (0..k).map(|l| 1 + (l * 5) % 14).collect();
+        lens[culprit] = 12;
+        let mut bad = xy_lanes(&lens, 40 + k as u64);
+        poison(&mut bad[culprit], "y", 10);
+        for (l, lane) in bad.iter_mut().enumerate().skip(culprit + 1) {
+            let t = (1 + l % 8).min(lens[l] - 1);
+            poison(lane, if l % 2 == 0 { "x" } else { "y" }, t);
+        }
+        assert_same_error(&sim, &bad, &lens, culprit);
+    }
 }

@@ -1,9 +1,10 @@
 //! Automatic shrinking of violating scenarios to minimal golden repros.
 //!
 //! The oracle is the compiled model itself with the vectorized batch path
-//! disabled ([`CompiledSim::set_batch_vectorization`]) — a deliberately
-//! *different* executor from the one that found the violation, so a repro
-//! that survives shrinking is already a two-executor reproduction. The
+//! disabled ([`CompiledSim::set_batch_vectorization`]), so every lane runs
+//! alone through the single-run loop — a deliberately *different* loop
+//! from the typed batch that found the violation, so a repro that
+//! survives shrinking is already a two-executor reproduction. The
 //! shrinker then greedily minimizes while preserving the violation
 //! signature: truncate to the first violating tick, drop fault genes to a
 //! fixpoint, simplify stimulus genes down a complexity ladder (constants,
@@ -65,7 +66,7 @@ impl Verdict {
 }
 
 /// The shrinking oracle: a clone of the compiled model pinned to the
-/// per-lane message path, plus its inferred contracts.
+/// single-run loop, plus its inferred contracts.
 pub struct Shrinker {
     sim: CompiledSim,
     monitor: ContractMonitor,
@@ -76,12 +77,11 @@ pub struct Shrinker {
 
 impl Shrinker {
     /// Builds the oracle from a compiled handle. The clone runs with
-    /// batch vectorization off, so replays exercise the reference-shaped
-    /// message path rather than the typed lanes that found the violation.
+    /// batch vectorization off, so replays exercise the single-run loop
+    /// rather than the typed lanes that found the violation.
     pub fn new(sim: &CompiledSim) -> Shrinker {
         let mut sim = sim.clone();
         sim.set_batch_vectorization(false);
-        sim.disable_parallel();
         let monitor = sim.monitor();
         Shrinker {
             sim,

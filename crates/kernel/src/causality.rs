@@ -131,7 +131,7 @@ pub fn check(
 }
 
 /// Full causality check: like [`check`], but also computes the
-/// topological levelization used by the parallel executor.
+/// topological levelization the executors and clock engines step by.
 ///
 /// # Errors
 ///

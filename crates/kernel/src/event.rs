@@ -276,7 +276,7 @@ impl<E> Calendar<E> {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Activation<'a> {
     /// Level lists with inert nodes removed (ascending node indices within
-    /// each level, as the parallel carve requires).
+    /// each level, the order the dense schedule steps them in).
     pub levels: &'a [Vec<usize>],
     /// Commit-pass nodes, ascending.
     pub commits: &'a [usize],
@@ -604,8 +604,8 @@ impl HeapState {
         self.fired.sort_unstable();
 
         // Restore the levels the previous event tick amended, then splice
-        // the freshly fired nodes in. The parallel carve needs ascending
-        // node indices per level; base and fired are each sorted but
+        // the freshly fired nodes in. Levels keep ascending node indices,
+        // the dense schedule's order; base and fired are each sorted but
         // interleave, so only amended levels are re-sorted.
         for &li in &self.touched {
             self.levels[li].clear();

@@ -13,20 +13,20 @@
 //! precomputed slot indices, each input port's source and instantaneity are
 //! resolved up front, and per-node input scratch buffers are reused across
 //! ticks — the steady-state tick loop performs no heap allocation. The
-//! causality check also levelizes the schedule, and an opt-in mode
-//! ([`ReadyNetwork::enable_parallel`]) steps wide levels on scoped threads.
-//! The original interpretive loop survives as [`ReferenceExecutor`] for
-//! differential tests and benchmarks.
+//! causality check also levelizes the schedule, which the event engines
+//! thin per tick. The original interpretive loop survives as
+//! [`ReferenceExecutor`] for differential tests and benchmarks.
 //!
 //! ## Batched execution
 //!
 //! [`ReadyNetwork::run_batch`] runs `K` independent scenarios through one
-//! compiled plan at once: every arena cell widens to `K` contiguous lanes
-//! (structure-of-arrays), block state is replicated per lane via
+//! compiled plan at once on typed lane columns (see [`crate::lanes`]):
+//! every arena cell widens to `K` contiguous lanes, nodes with a lane
+//! kernel step all lanes per call, the rest step per-lane replicas made by
 //! [`Block::clone_block`], and one pass over the schedule steps all lanes.
-//! In parallel mode the scoped-thread machinery chunks `(node, lane)` work
-//! items — lanes are independent, so batches parallelize even when the
-//! network itself is narrow.
+//! With [`ReadyNetwork::set_batch_vectorization`] off, each lane instead
+//! runs alone through the single-run loop — the `run_batch` contract
+//! spelled out literally, and the differential oracle for the typed loop.
 //!
 //! ## Discrete-event clock execution
 //!
@@ -36,7 +36,7 @@
 //! hyperperiod *wheel* — per-phase level/commit lists with provably inert
 //! nodes removed, plus quiet-phase annotation — or, when the clock lcm
 //! exceeds the wheel caps, a calendar *heap* of per-node firing events.
-//! Every stepping loop (incremental, batch-`Message`, batch-typed) consumes
+//! Both stepping loops (single-run and typed batch) consume
 //! one [`Activation`] per working tick from the engine and fast-forwards
 //! provably silent stretches in O(1) per tick, so a 1/1000-rate subsystem
 //! costs ~1/1000th of the work instead of a per-tick phase-list walk.
@@ -351,8 +351,7 @@ impl Network {
 
         // Arena layout: node i's outputs occupy
         // `out_offset[i]..out_offset[i + 1]`; offsets ascend with the node
-        // index, which is what lets the parallel mode carve disjoint `&mut`
-        // output slices with `split_at_mut`.
+        // index.
         let mut out_offset = Vec::with_capacity(n + 1);
         out_offset.push(0usize);
         for node in &self.nodes {
@@ -490,8 +489,6 @@ impl Network {
             scratch: vec![Message::Absent; total_inputs],
             schedule,
             observed,
-            parallel_min_width: None,
-            parallel_workers: None,
             fault_specs: Vec::new(),
             faults: None,
             ext_scratch: Vec::new(),
@@ -563,33 +560,6 @@ fn resolve_slot(slot: Slot, arena: &[Message], externals: &[Message]) -> Message
         Slot::Open => Message::Absent,
         Slot::Arena(a) => arena[a].clone(),
         Slot::External(e) => externals[e].clone(),
-    }
-}
-
-/// [`Slot`] widened to the lane-major batch arena, where each single-run
-/// arena cell becomes `K` lanes.
-#[derive(Debug, Clone, Copy)]
-enum BatchSlot {
-    /// Unconnected: always absent.
-    Open,
-    /// Lane `l` of the producing cell lives at `base + l * stride`, where
-    /// `stride` is the producing node's output arity.
-    Arena { base: usize, stride: usize },
-    /// An index into the lane's own external input row.
-    External(usize),
-}
-
-#[inline]
-fn resolve_batch_slot(
-    slot: BatchSlot,
-    lane: usize,
-    arena: &[Message],
-    externals: &[Message],
-) -> Message {
-    match slot {
-        BatchSlot::Open => Message::Absent,
-        BatchSlot::Arena { base, stride } => arena[base + lane * stride].clone(),
-        BatchSlot::External(e) => externals[e].clone(),
     }
 }
 
@@ -721,11 +691,6 @@ pub struct ReadyNetwork {
     schedule: Schedule,
     /// Reused probe output row.
     observed: Vec<Message>,
-    /// Minimum level width at which step runs on scoped threads.
-    parallel_min_width: Option<usize>,
-    /// Worker-count override for parallel levels (`None` = available
-    /// parallelism).
-    parallel_workers: Option<usize>,
     /// Installed fault specs — the source of truth from which per-run
     /// plans are compiled (batch lanes recompile with fresh state).
     fault_specs: Vec<FaultSpec>,
@@ -733,9 +698,9 @@ pub struct ReadyNetwork {
     faults: Option<FaultPlan>,
     /// Reused row for faulted external inputs.
     ext_scratch: Vec<Message>,
-    /// Whether sequential batches run on the typed-column vectorized path
-    /// (see [`crate::lanes`]); `false` opts back into the per-lane
-    /// `Message` path.
+    /// Whether batches run on the typed-column vectorized path (see
+    /// [`crate::lanes`]); `false` runs each lane alone through the
+    /// single-run loop.
     vectorize_batch: bool,
     tick: Tick,
 }
@@ -776,27 +741,6 @@ impl ReadyNetwork {
         self.probe_names.iter().map(String::as_str)
     }
 
-    /// Enables the parallel step mode: levels at least `min_width` wide are
-    /// evaluated on scoped worker threads. Disabled by default; results are
-    /// identical to sequential execution (within a level no block depends
-    /// instantaneously on another).
-    pub fn enable_parallel(&mut self, min_width: usize) {
-        self.parallel_min_width = Some(min_width.max(2));
-    }
-
-    /// Restores the default sequential step mode.
-    pub fn disable_parallel(&mut self) {
-        self.parallel_min_width = None;
-    }
-
-    /// Overrides the worker count used for parallel levels. `None` (the
-    /// default) sizes the pool from [`std::thread::available_parallelism`];
-    /// `Some(n)` forces `n` workers, which lets tests exercise the scoped
-    /// thread path even on single-core machines.
-    pub fn set_parallel_workers(&mut self, workers: Option<usize>) {
-        self.parallel_workers = workers.map(|n| n.max(1));
-    }
-
     /// Disables clock gating: every tick runs the full schedule. Gating is
     /// semantically transparent, so this exists for benchmarks and
     /// differential tests that need the ungated executor.
@@ -806,11 +750,12 @@ impl ReadyNetwork {
     }
 
     /// Enables or disables the typed-column vectorized batch path (enabled
-    /// by default; see [`crate::lanes`]). Sequential batches with
-    /// vectorization off — and all parallel-mode batches — run the
-    /// per-lane `Message` path instead. Semantics are identical either
-    /// way, bit-exactly; this exists for benchmarks and differential tests
-    /// that pit the two executors against each other.
+    /// by default; see [`crate::lanes`]). With vectorization off, a batch
+    /// runs each lane alone through the single-run loop on a freshly reset
+    /// copy of this network — literally the [`ReadyNetwork::run_batch`]
+    /// contract. Traces and errors are identical either way, bit-exactly;
+    /// this exists for the live oracle, benchmarks and differential tests
+    /// that pit the two loops against each other.
     pub fn set_batch_vectorization(&mut self, on: bool) {
         self.vectorize_batch = on;
     }
@@ -1080,63 +1025,23 @@ impl ReadyNetwork {
         }
 
         // Phase 1: step level by level. Within a level no block reads
-        // another's output instantaneously, so any order (or parallel
-        // execution) yields the same arena contents.
-        let parallel = self.parallel_min_width;
+        // another's output instantaneously.
         for level in act.levels {
-            match parallel {
-                Some(min) if level.len() >= min => {
-                    for &i in level {
-                        gather_inputs(
-                            &mut self.scratch,
-                            &self.slots,
-                            &self.inst_bits,
-                            self.slot_offset[i]..self.slot_offset[i + 1],
-                            &self.arena,
-                            externals,
-                        );
-                    }
-                    step_level_parallel(
-                        t,
-                        level,
-                        self.parallel_workers,
-                        LevelViews {
-                            blocks: &mut self.blocks,
-                            arena: &mut self.arena,
-                            scratch: &self.scratch,
-                            slot_offset: &self.slot_offset,
-                            out_offset: &self.out_offset,
-                        },
-                    )?;
-                    // Faults land right after the level commits its
-                    // outputs, so every later reader sees the perturbed
-                    // channel — same interception point as sequential mode.
-                    if let Some(fp) = &mut self.faults {
-                        for &i in level {
-                            for (port, st) in &mut fp.node_faults[i] {
-                                st.apply(t, &mut self.arena[self.out_offset[i] + *port]);
-                            }
-                        }
-                    }
-                }
-                _ => {
-                    for &i in level {
-                        gather_inputs(
-                            &mut self.scratch,
-                            &self.slots,
-                            &self.inst_bits,
-                            self.slot_offset[i]..self.slot_offset[i + 1],
-                            &self.arena,
-                            externals,
-                        );
-                        let inputs = &self.scratch[self.slot_offset[i]..self.slot_offset[i + 1]];
-                        let out = &mut self.arena[self.out_offset[i]..self.out_offset[i + 1]];
-                        self.blocks[i].step_into(t, inputs, out)?;
-                        if let Some(fp) = &mut self.faults {
-                            for (port, st) in &mut fp.node_faults[i] {
-                                st.apply(t, &mut self.arena[self.out_offset[i] + *port]);
-                            }
-                        }
+            for &i in level {
+                gather_inputs(
+                    &mut self.scratch,
+                    &self.slots,
+                    &self.inst_bits,
+                    self.slot_offset[i]..self.slot_offset[i + 1],
+                    &self.arena,
+                    externals,
+                );
+                let inputs = &self.scratch[self.slot_offset[i]..self.slot_offset[i + 1]];
+                let out = &mut self.arena[self.out_offset[i]..self.out_offset[i + 1]];
+                self.blocks[i].step_into(t, inputs, out)?;
+                if let Some(fp) = &mut self.faults {
+                    for (port, st) in &mut fp.node_faults[i] {
+                        st.apply(t, &mut self.arena[self.out_offset[i] + *port]);
                     }
                 }
             }
@@ -1330,33 +1235,6 @@ impl ReadyNetwork {
         }
     }
 
-    /// Widens the compiled single-lane slots to lane-major [`BatchSlot`]s
-    /// for a batch of `k` lanes.
-    fn batch_slots(&self, k: usize) -> (Vec<BatchSlot>, Vec<BatchSlot>) {
-        let total = *self.out_offset.last().unwrap();
-        let mut base = vec![0usize; total];
-        let mut stride = vec![0usize; total];
-        for i in 0..self.blocks.len() {
-            let (lo, hi) = (self.out_offset[i], self.out_offset[i + 1]);
-            for (p, a) in (lo..hi).enumerate() {
-                base[a] = lo * k + p;
-                stride[a] = hi - lo;
-            }
-        }
-        let widen = |slot: &Slot| match *slot {
-            Slot::Open => BatchSlot::Open,
-            Slot::Arena(a) => BatchSlot::Arena {
-                base: base[a],
-                stride: stride[a],
-            },
-            Slot::External(e) => BatchSlot::External(e),
-        };
-        (
-            self.slots.iter().map(widen).collect(),
-            self.probe_slots.iter().map(widen).collect(),
-        )
-    }
-
     /// Runs `stimuli.len()` independent scenarios ("lanes") through one
     /// compiled plan and returns one trace per lane, each identical to
     /// running its stimulus alone on a freshly reset copy of this network.
@@ -1364,21 +1242,21 @@ impl ReadyNetwork {
     /// The plan (slots, schedule, instantaneity bitset) is shared by every
     /// lane; block state is replicated per lane via [`Block::clone_block`]
     /// and reset, so `self`'s own incremental state is untouched. Messages
-    /// live in a *lane-major* arena: the cell for output `p` of node `i`
-    /// widens to `K` lanes stored contiguously at
-    /// `out_offset[i] * K + l * arity_i + p`, so one pass over the schedule
-    /// steps all lanes of a node back to back on warm plan state.
+    /// live in typed lane columns: single-run arena cell `a` holds its `K`
+    /// lanes contiguously at `a * K + l`, so one pass over the schedule
+    /// steps all lanes of a node back to back (see [`crate::lanes`]).
     ///
     /// Lanes may have different lengths: lane `l` is stepped only while
     /// `t < stimuli[l].len()`, and its trace has exactly `stimuli[l].len()`
-    /// rows. When parallel mode is on ([`ReadyNetwork::enable_parallel`]),
-    /// the work items of a level are `(node, lane)` pairs, so even a
-    /// one-node-wide level fans out across workers once there are enough
-    /// lanes — batches are embarrassingly parallel across lanes.
+    /// rows.
     ///
     /// # Errors
     ///
-    /// Fails on stimulus arity mismatches or block evaluation errors.
+    /// Stimulus arity mismatches are found before any lane steps, on the
+    /// first offending row in lane order. Otherwise the batch fails with
+    /// the block evaluation error of its lowest-index failing lane —
+    /// exactly the error that lane returns when run alone, and the one `K`
+    /// sequential runs would stop at.
     pub fn run_batch(&self, stimuli: &[Vec<Vec<Message>>]) -> Result<Vec<Trace>, KernelError> {
         self.run_batch_with_faults(stimuli, &[])
     }
@@ -1434,6 +1312,9 @@ impl ReadyNetwork {
         self.run_batch_inner(stimuli, lane_faults, Some(coverage))
     }
 
+    /// The prologue both batch loops share — lane-count and stimulus arity
+    /// checks, and every lane's fault plan compiled with fresh state — so
+    /// a bad lane is rejected identically before any lane steps.
     fn run_batch_inner(
         &self,
         stimuli: &[Vec<Vec<Message>>],
@@ -1446,56 +1327,6 @@ impl ReadyNetwork {
                 plans: lane_faults.len(),
             });
         }
-        // Sequential batches take the typed-column vectorized path unless
-        // opted out; parallel mode keeps the `Message`-lane path, whose
-        // `(node, lane)` work items are what the workers fan out over.
-        if self.vectorize_batch && self.parallel_min_width.is_none() {
-            self.run_batch_typed(stimuli, lane_faults, coverage)
-        } else {
-            self.run_batch_messages(stimuli, lane_faults, coverage)
-        }
-    }
-
-    /// The per-lane `Message` batch path: used in parallel mode and when
-    /// vectorization is disabled, and kept as the differential oracle for
-    /// the typed path.
-    fn run_batch_messages(
-        &self,
-        stimuli: &[Vec<Vec<Message>>],
-        lane_faults: &[Vec<FaultSpec>],
-        mut coverage: Option<&mut [CoverageMap]>,
-    ) -> Result<Vec<Trace>, KernelError> {
-        // Cache blocking: each lane replicates block state, so very wide
-        // sequential batches outgrow the cache and slow down per lane.
-        // Bounding the working set costs nothing semantically — lanes are
-        // independent. Parallel mode keeps the full width so levels have
-        // enough `(node, lane)` work items to fan out.
-        const LANE_CHUNK: usize = 16;
-        if self.parallel_min_width.is_none() && stimuli.len() > LANE_CHUNK {
-            let mut traces = Vec::with_capacity(stimuli.len());
-            for (ci, chunk) in stimuli.chunks(LANE_CHUNK).enumerate() {
-                let faults_chunk: &[Vec<FaultSpec>] = if lane_faults.is_empty() {
-                    &[]
-                } else {
-                    &lane_faults[ci * LANE_CHUNK..ci * LANE_CHUNK + chunk.len()]
-                };
-                let coverage_chunk = coverage
-                    .as_deref_mut()
-                    .map(|c| &mut c[ci * LANE_CHUNK..ci * LANE_CHUNK + chunk.len()]);
-                traces.extend(self.run_batch_messages(chunk, faults_chunk, coverage_chunk)?);
-            }
-            return Ok(traces);
-        }
-        let k = stimuli.len();
-        let mut traces: Vec<Trace> = (0..k)
-            .map(|_| {
-                let mut trace = Trace::new();
-                for name in &self.probe_names {
-                    trace.declare(name.clone());
-                }
-                trace
-            })
-            .collect();
         for lane in stimuli {
             for (t, row) in lane.iter().enumerate() {
                 if row.len() != self.n_inputs {
@@ -1507,20 +1338,12 @@ impl ReadyNetwork {
                 }
             }
         }
-        let lens: Vec<usize> = stimuli.iter().map(Vec::len).collect();
-        let max_ticks = lens.iter().copied().max().unwrap_or(0);
-        if k == 0 || max_ticks == 0 {
-            return Ok(traces);
-        }
-
-        // Per-lane fault plans, each compiled with fresh state so a lane
-        // behaves exactly like a sequential run on a freshly reset faulted
-        // copy. `None` when nothing is faulted — the nominal path pays no
-        // per-tick cost.
-        let mut lane_plans: Option<Vec<FaultPlan>> =
+        // `None` when nothing is faulted: the nominal path pays no
+        // per-tick fault cost.
+        let lane_plans: Option<Vec<FaultPlan>> =
             if !self.fault_specs.is_empty() || lane_faults.iter().any(|f| !f.is_empty()) {
-                let mut plans = Vec::with_capacity(k);
-                for l in 0..k {
+                let mut plans = Vec::with_capacity(stimuli.len());
+                for l in 0..stimuli.len() {
                     let mut specs = self.fault_specs.clone();
                     if let Some(extra) = lane_faults.get(l) {
                         specs.extend(extra.iter().cloned());
@@ -1531,230 +1354,33 @@ impl ReadyNetwork {
             } else {
                 None
             };
-        let gating_on = lane_plans
-            .as_ref()
-            .is_none_or(|ps| ps.iter().all(|p| p.gating_safe));
-        let any_ext_faults = lane_plans
-            .as_ref()
-            .is_some_and(|ps| ps.iter().any(|p| !p.ext.is_empty()));
-        let mut ext_rows: Vec<Vec<Message>> = if any_ext_faults {
-            vec![vec![Message::Absent; self.n_inputs]; k]
+        if self.vectorize_batch {
+            self.run_batch_typed(stimuli, lane_plans, coverage)
         } else {
-            Vec::new()
-        };
-
-        // Per-lane block state, node-major with lanes contiguous: lane `l`
-        // of node `i` lives at `i * k + l`, ascending in `(i, l)` exactly
-        // like the lane-major arena ranges — which is what lets the
-        // parallel carve reuse the single-run `split_at_mut` scheme.
-        let n = self.blocks.len();
-        let mut lane_blocks: Vec<Box<dyn Block + Send + Sync>> = Vec::with_capacity(n * k);
-        for block in &self.blocks {
-            for _ in 0..k {
-                let mut replica = block.clone_block();
-                replica.reset();
-                lane_blocks.push(replica);
-            }
+            self.run_batch_lone(stimuli, lane_plans, coverage)
         }
+    }
 
-        let (slots, probe_slots) = self.batch_slots(k);
-        let total_outputs = *self.out_offset.last().unwrap();
-        let total_inputs = *self.slot_offset.last().unwrap();
-        let mut arena = vec![Message::Absent; total_outputs * k];
-        let mut scratch = vec![Message::Absent; total_inputs * k];
-        let mut observed = vec![Message::Absent; self.probe_slots.len()];
-        let mut specs: Vec<PartSpec> = Vec::new();
-
-        let engine = if gating_on {
-            self.engine.clone()
-        } else {
-            Engine::Dense
-        };
-        let mut heap_cursor: Option<Box<HeapState>> = None;
-
-        // `t` is the simulation tick: it indexes every lane's stimulus rows
-        // and gates lane activity, not one iterable.
-        let mut t = 0usize;
-        while t < max_ticks {
-            let tick = t as Tick;
-
-            // Fast-forward provably silent stretches: the arena is frozen,
-            // so every active lane's rows repeat except externally-fed
-            // probe columns. Any fault plan disables the skip — fault state
-            // must advance per tick.
-            if lane_plans.is_none() {
-                let end =
-                    quiet_until_for(&engine, &mut heap_cursor, tick, max_ticks as Tick) as usize;
-                if end > t {
-                    for (l, &len) in lens.iter().enumerate() {
-                        let upto = len.min(end);
-                        if upto <= t {
-                            continue;
-                        }
-                        for (j, &slot) in probe_slots.iter().enumerate() {
-                            observed[j] = match slot {
-                                // Placeholder; patched per row below.
-                                BatchSlot::External(_) => Message::Absent,
-                                s => resolve_batch_slot(s, l, &arena, &[]),
-                            };
-                        }
-                        if self.ext_probe_cols.is_empty() {
-                            traces[l].push_row_repeat_indexed(&observed, upto - t)?;
-                        } else {
-                            for row in &stimuli[l][t..upto] {
-                                for &(col, e) in &self.ext_probe_cols {
-                                    observed[col] = row[e].clone();
-                                }
-                                traces[l].push_row_indexed(&observed)?;
-                            }
-                        }
-                    }
-                    t = end;
-                    continue;
-                }
-            }
-
-            let act = activation_for(
-                &engine,
-                &self.schedule,
-                &self.commit_nodes,
-                &mut heap_cursor,
-                tick,
-            );
-
-            // Stage each active lane's faulted external row for the tick.
-            if any_ext_faults {
-                let plans = lane_plans.as_mut().expect("ext faults imply lane plans");
-                for (l, &len) in lens.iter().enumerate() {
-                    if t >= len {
-                        continue;
-                    }
-                    ext_rows[l].clear();
-                    ext_rows[l].extend_from_slice(&stimuli[l][t]);
-                    for (e, st) in &mut plans[l].ext {
-                        st.apply(tick, &mut ext_rows[l][*e]);
-                    }
-                }
-            }
-
-            // Clear all lanes of nodes that just went inert.
-            for &i in act.clears {
-                arena[self.out_offset[i] * k..self.out_offset[i + 1] * k].fill(Message::Absent);
-            }
-
-            // Phase 1: step level by level; within a level every active
-            // lane of every node is an independent work item.
-            for level in act.levels {
-                specs.clear();
-                for &i in level {
-                    let ia = self.slot_offset[i + 1] - self.slot_offset[i];
-                    let oa = self.out_offset[i + 1] - self.out_offset[i];
-                    for (l, &len) in lens.iter().enumerate() {
-                        if t >= len {
-                            continue;
-                        }
-                        let row: &[Message] = if any_ext_faults {
-                            &ext_rows[l]
-                        } else {
-                            &stimuli[l][t]
-                        };
-                        let in_start = self.slot_offset[i] * k + l * ia;
-                        let out_start = self.out_offset[i] * k + l * oa;
-                        for p in 0..ia {
-                            let flat = self.slot_offset[i] + p;
-                            scratch[in_start + p] = if self.inst(flat) {
-                                resolve_batch_slot(slots[flat], l, &arena, row)
-                            } else {
-                                Message::Absent
-                            };
-                        }
-                        specs.push(PartSpec {
-                            block: i * k + l,
-                            inputs: in_start..in_start + ia,
-                            out: out_start..out_start + oa,
-                        });
-                    }
-                }
-                match self.parallel_min_width {
-                    Some(min) if specs.len() >= min => {
-                        let parts = carve_parts(&specs, &mut lane_blocks, &mut arena, &scratch);
-                        run_parts(tick, parts, self.parallel_workers)?;
-                        if let Some(plans) = &mut lane_plans {
-                            for spec in &specs {
-                                let (i, l) = (spec.block / k, spec.block % k);
-                                for (port, st) in &mut plans[l].node_faults[i] {
-                                    st.apply(tick, &mut arena[spec.out.start + *port]);
-                                }
-                            }
-                        }
-                    }
-                    _ => {
-                        for spec in &specs {
-                            let inputs = &scratch[spec.inputs.clone()];
-                            let out = &mut arena[spec.out.clone()];
-                            lane_blocks[spec.block].step_into(tick, inputs, out)?;
-                            if let Some(plans) = &mut lane_plans {
-                                let (i, l) = (spec.block / k, spec.block % k);
-                                for (port, st) in &mut plans[l].node_faults[i] {
-                                    st.apply(tick, &mut arena[spec.out.start + *port]);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Phase 2: commit with final input values — only for nodes
-            // whose blocks actually observe them, minus any inert this
-            // phase.
-            for &i in act.commits {
-                let ia = self.slot_offset[i + 1] - self.slot_offset[i];
-                for (l, &len) in lens.iter().enumerate() {
-                    if t >= len {
-                        continue;
-                    }
-                    let row: &[Message] = if any_ext_faults {
-                        &ext_rows[l]
-                    } else {
-                        &stimuli[l][t]
-                    };
-                    let in_start = self.slot_offset[i] * k + l * ia;
-                    for p in 0..ia {
-                        let flat = self.slot_offset[i] + p;
-                        scratch[in_start + p] = resolve_batch_slot(slots[flat], l, &arena, row);
-                    }
-                    lane_blocks[i * k + l].commit(tick, &scratch[in_start..in_start + ia]);
-                }
-            }
-
-            // Observe each active lane's probes.
-            for (l, &len) in lens.iter().enumerate() {
-                if t >= len {
-                    continue;
-                }
-                let row: &[Message] = if any_ext_faults {
-                    &ext_rows[l]
-                } else {
-                    &stimuli[l][t]
-                };
-                for (j, &slot) in probe_slots.iter().enumerate() {
-                    observed[j] = resolve_batch_slot(slot, l, &arena, row);
-                }
-                traces[l].push_row_indexed(&observed)?;
-            }
-
-            // Observe each active lane's discrete block state. Lanes that
-            // already finished (and quiet stretches, which never reach
-            // here) stepped no block, so skipping them is exact.
-            if let Some(cov) = coverage.as_deref_mut() {
-                for (l, &len) in lens.iter().enumerate() {
-                    if t >= len {
-                        continue;
-                    }
-                    cov[l].observe_nodes(|node| lane_blocks[node * k + l].coverage_state());
-                }
-            }
-            t += 1;
+    /// The vectorization-off batch: each lane alone through the single-run
+    /// loop on a freshly reset copy of this network, under its own fault
+    /// plan. The first failing lane's error stops the batch.
+    fn run_batch_lone(
+        &self,
+        stimuli: &[Vec<Vec<Message>>],
+        lane_plans: Option<Vec<FaultPlan>>,
+        mut coverage: Option<&mut [CoverageMap]>,
+    ) -> Result<Vec<Trace>, KernelError> {
+        let mut lone = self.clone();
+        let mut plans = lane_plans.map(Vec::into_iter);
+        let mut traces = Vec::with_capacity(stimuli.len());
+        for (l, stimulus) in stimuli.iter().enumerate() {
+            lone.reset();
+            lone.faults = plans
+                .as_mut()
+                .and_then(Iterator::next)
+                .filter(|p| !p.is_empty());
+            let cov = coverage.as_deref_mut().map(|c| &mut c[l]);
+            traces.push(lone.run_inner(stimulus, cov)?);
         }
         Ok(traces)
     }
@@ -1770,13 +1396,12 @@ impl ReadyNetwork {
     /// [`Block::lane_kernel`] step all K lanes per call over the columns;
     /// the rest fall back to per-lane replicas that decode from and encode
     /// back into the columns. The loop adds quiet-stretch skips, fault
-    /// staging, trace observation and coverage. Traces are bit-identical
-    /// to the `Message` path (and to K sequential runs), faults and gating
-    /// included.
+    /// staging, trace observation and coverage. Traces and errors are
+    /// bit-identical to K sequential runs, faults and gating included.
     fn run_batch_typed(
         &self,
         stimuli: &[Vec<Vec<Message>>],
-        lane_faults: &[Vec<FaultSpec>],
+        mut lane_plans: Option<Vec<FaultPlan>>,
         mut coverage: Option<&mut [CoverageMap]>,
     ) -> Result<Vec<Trace>, KernelError> {
         let k = stimuli.len();
@@ -1789,39 +1414,12 @@ impl ReadyNetwork {
                 trace
             })
             .collect();
-        for lane in stimuli {
-            for (t, row) in lane.iter().enumerate() {
-                if row.len() != self.n_inputs {
-                    return Err(KernelError::StimulusArity {
-                        expected: self.n_inputs,
-                        found: row.len(),
-                        tick: t as Tick,
-                    });
-                }
-            }
-        }
         let lens: Vec<usize> = stimuli.iter().map(Vec::len).collect();
         let max_ticks = lens.iter().copied().max().unwrap_or(0);
         if k == 0 || max_ticks == 0 {
             return Ok(traces);
         }
 
-        // Per-lane fault plans with fresh state, exactly as in the
-        // `Message` path.
-        let mut lane_plans: Option<Vec<FaultPlan>> =
-            if !self.fault_specs.is_empty() || lane_faults.iter().any(|f| !f.is_empty()) {
-                let mut plans = Vec::with_capacity(k);
-                for l in 0..k {
-                    let mut specs = self.fault_specs.clone();
-                    if let Some(extra) = lane_faults.get(l) {
-                        specs.extend(extra.iter().cloned());
-                    }
-                    plans.push(self.compile_fault_plan(&specs)?);
-                }
-                Some(plans)
-            } else {
-                None
-            };
         let gating_on = lane_plans
             .as_ref()
             .is_none_or(|ps| ps.iter().all(|p| p.gating_safe));
@@ -1842,13 +1440,20 @@ impl ReadyNetwork {
         let mut active = vec![false; k];
         let mut observed = vec![Message::Absent; self.probe_slots.len()];
         let mut failures: Vec<LaneFailure> = Vec::new();
+        // The batch fails like K sequential runs: with the error of its
+        // lowest failing lane. A failing lane masks itself and every lane
+        // above it (`live` drops to its index); the lanes below step on to
+        // the end of their stimuli, since one of them may fail later.
+        let mut failed: Option<KernelError> = None;
+        let mut live = k;
+        let mut last = max_ticks;
 
         // `t` indexes every lane's stimulus rows and gates lane activity.
         let mut t = 0usize;
-        while t < max_ticks {
+        while t < last {
             let tick = t as Tick;
             for (l, &len) in lens.iter().enumerate() {
-                active[l] = t < len;
+                active[l] = l < live && t < len;
             }
 
             // Fast-forward provably silent stretches. The typed arena is
@@ -1857,9 +1462,9 @@ impl ReadyNetwork {
             // `LaneStore` roundtrip is bit-exact). Fault plans disable the
             // skip — fault state must advance per tick.
             if lane_plans.is_none() {
-                let end = stepper.quiet_until(tick, max_ticks as Tick) as usize;
+                let end = stepper.quiet_until(tick, last as Tick) as usize;
                 if end > t {
-                    for (l, &len) in lens.iter().enumerate() {
+                    for (l, &len) in lens.iter().enumerate().take(live) {
                         let upto = len.min(end);
                         if upto <= t {
                             continue;
@@ -1927,13 +1532,13 @@ impl ReadyNetwork {
                 lane_plans.as_deref_mut(),
                 &mut failures,
             );
-            if !failures.is_empty() {
-                // The first failure in execution order: the error the
-                // `Message` path reports for batches of up to 16 lanes.
-                // Wider `Message` batches run 16-lane blocks one after the
-                // other and report the first failing block's error, which
-                // can belong to a lane that fails at a later tick.
-                return Err(failures.swap_remove(0).error);
+            // Every new failure is below `live`, and a lane fails at most
+            // once per step, so the lowest one is the new cutoff.
+            if let Some(f) = failures.drain(..).min_by_key(|f| f.lane) {
+                live = f.lane;
+                last = lens[..live].iter().copied().max().unwrap_or(0);
+                active[live..].fill(false);
+                failed = Some(f.error);
             }
 
             // Observe each active lane's probes, decoded from the columns.
@@ -1960,7 +1565,10 @@ impl ReadyNetwork {
             }
             t += 1;
         }
-        Ok(traces)
+        match failed {
+            Some(error) => Err(error),
+            None => Ok(traces),
+        }
     }
 }
 
@@ -1988,8 +1596,6 @@ impl Clone for ReadyNetwork {
             scratch: self.scratch.clone(),
             schedule: self.schedule.clone(),
             observed: self.observed.clone(),
-            parallel_min_width: self.parallel_min_width,
-            parallel_workers: self.parallel_workers,
             fault_specs: self.fault_specs.clone(),
             faults: self.faults.clone(),
             ext_scratch: self.ext_scratch.clone(),
@@ -1997,140 +1603,6 @@ impl Clone for ReadyNetwork {
             tick: self.tick,
         }
     }
-}
-
-/// A `(block index, scratch range, arena range)` work item — the common
-/// currency of the parallel step paths. In single-run mode one spec is one
-/// level node; in batch mode it is one `(node, lane)` pair.
-struct PartSpec {
-    block: usize,
-    inputs: std::ops::Range<usize>,
-    out: std::ops::Range<usize>,
-}
-
-/// Disjoint execution views carved for one work item.
-struct LevelPart<'a> {
-    block: &'a mut (dyn Block + Send + Sync),
-    inputs: &'a [Message],
-    out: &'a mut [Message],
-}
-
-/// Borrowed views of the compiled plan needed to step one level.
-struct LevelViews<'a> {
-    blocks: &'a mut [Box<dyn Block + Send + Sync>],
-    arena: &'a mut [Message],
-    scratch: &'a [Message],
-    slot_offset: &'a [usize],
-    out_offset: &'a [usize],
-}
-
-/// Carves the disjoint per-part `&mut` views named by `specs`.
-///
-/// Specs must ascend in both block index and arena range. They do by
-/// construction: node indices ascend within a level and arena offsets
-/// ascend with the node index; in batch mode, lane sub-ranges additionally
-/// ascend within each node. That lets repeated `split_at_mut` carve the
-/// views without unsafe code.
-fn carve_parts<'a>(
-    specs: &[PartSpec],
-    blocks: &'a mut [Box<dyn Block + Send + Sync>],
-    arena: &'a mut [Message],
-    scratch: &'a [Message],
-) -> Vec<LevelPart<'a>> {
-    let mut parts = Vec::with_capacity(specs.len());
-    let mut blocks_rest = blocks;
-    let mut blocks_base = 0usize;
-    let mut arena_rest = arena;
-    let mut arena_base = 0usize;
-    for spec in specs {
-        let tail = std::mem::take(&mut blocks_rest)
-            .split_at_mut(spec.block - blocks_base)
-            .1;
-        let (block, rest) = tail.split_first_mut().expect("part block in range");
-        blocks_rest = rest;
-        blocks_base = spec.block + 1;
-
-        let tail = std::mem::take(&mut arena_rest)
-            .split_at_mut(spec.out.start - arena_base)
-            .1;
-        let (out, rest) = tail.split_at_mut(spec.out.len());
-        arena_rest = rest;
-        arena_base = spec.out.end;
-
-        parts.push(LevelPart {
-            block: block.as_mut(),
-            inputs: &scratch[spec.inputs.clone()],
-            out,
-        });
-    }
-    parts
-}
-
-/// Steps carved parts, round-robined into per-worker chunks on scoped
-/// threads (or inline when one worker suffices).
-fn run_parts(
-    t: Tick,
-    parts: Vec<LevelPart<'_>>,
-    workers_override: Option<usize>,
-) -> Result<(), KernelError> {
-    let workers = workers_override
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-        .min(parts.len());
-    if workers <= 1 {
-        for p in parts {
-            p.block.step_into(t, p.inputs, p.out)?;
-        }
-        return Ok(());
-    }
-    let mut chunks: Vec<Vec<LevelPart<'_>>> = (0..workers).map(|_| Vec::new()).collect();
-    for (j, p) in parts.into_iter().enumerate() {
-        chunks[j % workers].push(p);
-    }
-    let mut results: Vec<Result<(), KernelError>> = Vec::with_capacity(workers);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
-                s.spawn(move || {
-                    for p in chunk {
-                        p.block.step_into(t, p.inputs, p.out)?;
-                    }
-                    Ok(())
-                })
-            })
-            .collect();
-        for h in handles {
-            results.push(h.join().expect("executor worker panicked"));
-        }
-    });
-    results.into_iter().collect()
-}
-
-/// Steps one level's blocks on scoped threads (single-run mode: one part
-/// per level node).
-fn step_level_parallel(
-    t: Tick,
-    level: &[usize],
-    workers_override: Option<usize>,
-    views: LevelViews<'_>,
-) -> Result<(), KernelError> {
-    let LevelViews {
-        blocks,
-        arena,
-        scratch,
-        slot_offset,
-        out_offset,
-    } = views;
-    let specs: Vec<PartSpec> = level
-        .iter()
-        .map(|&i| PartSpec {
-            block: i,
-            inputs: slot_offset[i]..slot_offset[i + 1],
-            out: out_offset[i]..out_offset[i + 1],
-        })
-        .collect();
-    let parts = carve_parts(&specs, blocks, arena, scratch);
-    run_parts(t, parts, workers_override)
 }
 
 /// The pre-compilation interpretive executor, kept as the semantic
@@ -2668,18 +2140,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_step_matches_sequential() {
-        let stim = stimulus_from_streams(&[Stream::from_values(0i64..16)]);
-        let mut seq = diamond().prepare().unwrap();
-        let mut par = diamond().prepare().unwrap();
-        par.enable_parallel(2); // force threads on every multi-node level
-        par.set_parallel_workers(Some(2)); // spawn even on single-core machines
-        let t1 = seq.run(&stim).unwrap();
-        let t2 = par.run(&stim).unwrap();
-        assert_eq!(t1, t2);
-    }
-
-    #[test]
     fn step_tick_observed_row_follows_probe_names() {
         let mut ready = diamond().prepare().unwrap();
         let names: Vec<String> = ready.probe_names().map(String::from).collect();
@@ -2750,10 +2210,10 @@ mod tests {
 
     #[test]
     fn scalar_batch_never_builds_lane_kernels() {
-        // With vectorization off the batch runs entirely on per-lane
-        // `Message` replicas: no lane kernel of any kind — an MTD's, a
-        // masked expression interpreter — is ever built, so the scalar
-        // batch stays an independent oracle for them.
+        // With vectorization off each lane runs alone through the
+        // single-run loop: no lane kernel of any kind — an MTD's, a masked
+        // expression interpreter — is ever built, so the scalar batch
+        // stays an independent oracle for them.
         let mut net = Network::new("scalar");
         let x = net.add_input("x");
         let b = net.add_block(NoKernelPlease);
@@ -2816,25 +2276,6 @@ mod tests {
             let expect = diamond().prepare().unwrap().run(stim).unwrap();
             assert_eq!(batch[lane], expect, "lane {lane}");
         }
-    }
-
-    #[test]
-    fn run_batch_parallel_matches_sequential_lanes() {
-        let stims: Vec<Vec<Vec<Message>>> = (0..4)
-            .map(|l| {
-                stimulus_from_streams(&[Stream::from_values(
-                    (0i64..12).map(|v| v + l as i64).collect::<Vec<_>>(),
-                )])
-            })
-            .collect();
-        let seq = diamond().prepare().unwrap();
-        let mut par = diamond().prepare().unwrap();
-        par.enable_parallel(2);
-        par.set_parallel_workers(Some(2));
-        assert_eq!(
-            par.run_batch(&stims).unwrap(),
-            seq.run_batch(&stims).unwrap()
-        );
     }
 
     #[test]
@@ -2926,6 +2367,60 @@ mod tests {
             ready.run_batch_with_faults(&[], &two_plans),
             Err(KernelError::FaultLaneArity { lanes: 0, plans: 2 })
         );
+    }
+
+    /// `run_batch` on `ready` with vectorization on and off; both must
+    /// fail with the same error, which is returned.
+    fn batch_error_both_ways(
+        ready: &ReadyNetwork,
+        stims: &[Vec<Vec<Message>>],
+        faults: &[Vec<FaultSpec>],
+    ) -> KernelError {
+        let typed = ready
+            .run_batch_with_faults(stims, faults)
+            .expect_err("typed batch fails");
+        let mut lone = ready.clone();
+        lone.set_batch_vectorization(false);
+        let scalar = lone
+            .run_batch_with_faults(stims, faults)
+            .expect_err("scalar batch fails");
+        assert_eq!(typed, scalar);
+        typed
+    }
+
+    #[test]
+    fn bad_lanes_are_rejected_before_any_lane_steps() {
+        // Lane 0 fails at runtime (a symbol at tick 1) while lane 1 is
+        // malformed; both paths report lane 1's malformation, found up
+        // front, not lane 0's runtime error.
+        let ready = diamond().prepare().unwrap();
+        let junk = Message::Present(Value::sym("JUNK"));
+        let failing = vec![
+            vec![Message::present(1i64)],
+            vec![junk],
+            vec![Message::present(3i64)],
+        ];
+        assert!(diamond().prepare().unwrap().run(&failing).is_err());
+        let ok = stimulus_from_streams(&[Stream::from_values([1i64, 2, 3])]);
+
+        let mut short_row = ok.clone();
+        short_row[2] = Vec::new();
+        let e = batch_error_both_ways(&ready, &[failing.clone(), short_row], &[]);
+        assert_eq!(
+            e,
+            KernelError::StimulusArity {
+                expected: 1,
+                found: 0,
+                tick: 2
+            }
+        );
+
+        let ghost = vec![
+            Vec::new(),
+            vec![FaultSpec::on_signal("ghost", FaultKind::drop_every(1, 0))],
+        ];
+        let e = batch_error_both_ways(&ready, &[failing, ok], &ghost);
+        assert!(matches!(e, KernelError::UnknownFaultTarget { .. }), "{e}");
     }
 
     #[test]
@@ -3066,13 +2561,6 @@ mod tests {
             // Reset replays the faulted trace exactly (stateful kinds rewind).
             ready.reset();
             assert_eq!(ready.run(&stim).unwrap(), compiled, "{label} replay");
-
-            // Parallel stepping takes the same interception point.
-            let mut par = diamond().prepare().unwrap();
-            par.set_faults(specs).unwrap();
-            par.enable_parallel(2);
-            par.set_parallel_workers(Some(2));
-            assert_eq!(par.run(&stim).unwrap(), compiled, "{label} parallel");
         }
     }
 
@@ -3137,9 +2625,7 @@ mod tests {
                 )])
             })
             .collect();
-        // Heterogeneous per-lane faults, cycling through every kind; lanes
-        // beyond the chunk boundary exercise the LANE_CHUNK recursion's
-        // fault-slice bookkeeping.
+        // Heterogeneous per-lane faults, cycling through every kind.
         let lane_faults: Vec<Vec<FaultSpec>> = (0..20)
             .map(|l| match l % 5 {
                 0 => vec![FaultSpec::on_signal(
@@ -3168,13 +2654,6 @@ mod tests {
             solo.set_faults(specs).unwrap();
             assert_eq!(batch[lane], solo.run(stim).unwrap(), "lane {lane}");
         }
-
-        // Parallel batch mode applies faults at the same point.
-        let mut par = diamond().prepare().unwrap();
-        par.enable_parallel(2);
-        par.set_parallel_workers(Some(2));
-        let par_batch = par.run_batch_with_faults(&stims, &lane_faults).unwrap();
-        assert_eq!(par_batch, batch);
     }
 
     #[test]
@@ -3339,7 +2818,7 @@ mod tests {
     }
 
     #[test]
-    fn gated_parallel_and_batch_match_ungated() {
+    fn gated_batch_matches_ungated() {
         let stims: Vec<Vec<Vec<Message>>> = (0..3)
             .map(|l| {
                 stimulus_from_streams(&[Stream::from_values(
@@ -3348,14 +2827,10 @@ mod tests {
             })
             .collect();
         let gated = multirate(6, 2).prepare().unwrap();
-        let mut par = multirate(6, 2).prepare().unwrap();
-        par.enable_parallel(2);
-        par.set_parallel_workers(Some(2));
         let mut ungated = multirate(6, 2).prepare().unwrap();
         ungated.disable_clock_gating();
         let expect = ungated.run_batch(&stims).unwrap();
         assert_eq!(gated.run_batch(&stims).unwrap(), expect);
-        assert_eq!(par.run_batch(&stims).unwrap(), expect);
     }
 
     #[test]

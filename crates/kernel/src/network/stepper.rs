@@ -9,11 +9,8 @@
 //! mode subnet, under a per-tick mask of the lanes currently in that mode.
 //!
 //! Failures are attributed per lane and never abort a tick: a failing lane
-//! is recorded and masked out, and the remaining lanes step on. Failures
-//! are recorded in execution order — schedule order, ascending lanes
-//! within a node — so the first one is exactly the error a node-major
-//! per-lane executor reports, and the lowest-lane one is the error a
-//! single lane run in isolation would have hit first.
+//! is recorded with its own first error — the error it would hit run in
+//! isolation — and masked out, and the remaining lanes step on.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -258,8 +255,8 @@ impl<N: Borrow<ReadyNetwork>> LaneStepper<N> {
 
     /// Steps every lane with `active[l]` through tick `t`. `inputs` holds
     /// one column per external input of the network. Failing lanes are
-    /// appended to `failures` in execution order (see the module docs)
-    /// and leave their probe columns unspecified; every other active lane
+    /// appended to `failures`, each once (see the module docs), and leave
+    /// their probe columns unspecified; every other active lane
     /// steps exactly as a lone run would.
     ///
     /// # Panics

@@ -1,8 +1,8 @@
 //! Differential tests of the compiled executor.
 //!
 //! Random block networks (acyclic on instantaneous edges, with delayed
-//! feedback allowed) are executed three ways — compiled sequential, compiled
-//! parallel, interpretive reference — and must produce identical traces.
+//! feedback allowed) are executed two ways — compiled and interpretive
+//! reference — and must produce identical traces.
 //!
 //! The network/stimulus generators live in [`common`] and are shared with
 //! the batch-execution suite.
@@ -28,25 +28,6 @@ proptest! {
         let compiled = build(spec).run(&stim).unwrap();
         let reference = build(spec).run_reference(&stim).unwrap();
         prop_assert_eq!(compiled, reference);
-    }
-
-    /// Scoped-thread level execution is trace-identical to sequential.
-    #[test]
-    fn parallel_matches_sequential(
-        seed in any::<u64>(),
-        n_nodes in 1usize..32,
-        n_inputs in 0usize..4,
-        ticks in 1usize..32,
-    ) {
-        let spec = Spec { seed, n_nodes, n_inputs };
-        let stim = stimulus(spec, ticks);
-        let mut seq = build(spec).prepare().unwrap();
-        let mut par = build(spec).prepare().unwrap();
-        par.enable_parallel(2); // threads on every level with >= 2 nodes
-        par.set_parallel_workers(Some(2)); // real spawns even on 1 CPU
-        let t1 = seq.run(&stim).unwrap();
-        let t2 = par.run(&stim).unwrap();
-        prop_assert_eq!(t1, t2);
     }
 
     /// Reset replays identically on the compiled executor.

@@ -2,7 +2,7 @@
 //! parameterized networks the event-driven executor (wheel and heap
 //! backends, silent-stretch fast-forward included) must be
 //! **trace-identical** to dense execution and to the reference executor —
-//! across faults, parallelism on/off, batch lanes K ∈ {1, 8, 32} with
+//! across faults, batch lanes K ∈ {1, 8, 32} with
 //! vectorization on/off, and reset/replay.
 //!
 //! Three network families pin the three engine paths:
@@ -243,23 +243,14 @@ proptest! {
         prop_assert_eq!(&e, &event.run(&stim).unwrap());
     }
 
-    /// Parallel stepping and batch lanes (K ∈ {1, 8, 32}, vectorization on
-    /// and off, per-lane faults included) on the heap backend equal K
-    /// sequential runs.
+    /// Batch lanes (K ∈ {1, 8, 32}, vectorization on and off, per-lane
+    /// faults included) on the heap backend equal K sequential runs.
     #[test]
-    fn heap_parallel_and_batches_match(
+    fn heap_batches_match(
         subs in arb_heap_subs(),
         stim in arb_stimulus(),
         lane_fault in arb_faults(),
     ) {
-        let mut sequential = heap_net(&subs).prepare().unwrap();
-        let expected = sequential.run(&stim).unwrap();
-
-        let mut parallel = heap_net(&subs).prepare().unwrap();
-        parallel.enable_parallel(1);
-        parallel.set_parallel_workers(Some(2));
-        prop_assert_eq!(&expected, &parallel.run(&stim).unwrap());
-
         let mut batcher = heap_net(&subs).prepare().unwrap();
         for &k in &LANE_COUNTS {
             let lanes = lanes_of(&stim, k);

@@ -1,7 +1,7 @@
 //! Differential property tests of the fault-injection layer: on randomly
 //! parameterized multi-rate networks with random fault plans, the faulted
 //! compiled executor must be **trace-identical** across gated / ungated /
-//! reference execution, across parallel on/off, across reset/replay, and
+//! reference execution, across reset/replay, and
 //! batched per-lane faults must equal K sequential faulted runs.
 //!
 //! On a mismatch, the diverging traces are dumped as VCD files to
@@ -168,25 +168,6 @@ proptest! {
         gated.reset();
         let replay = gated.run(&stim).unwrap();
         assert_traces!("reset-replay", &g, &replay);
-    }
-
-    /// Parallel stepping under faults stays trace-identical to sequential.
-    #[test]
-    fn faulted_parallel_matches_sequential(
-        subs in arb_subs(),
-        stim in arb_stimulus(),
-        faults in arb_faults(),
-    ) {
-        let mut sequential = multirate_net(&subs).prepare().unwrap();
-        sequential.set_faults(&faults).unwrap();
-        let expected = sequential.run(&stim).unwrap();
-
-        let mut parallel = multirate_net(&subs).prepare().unwrap();
-        parallel.enable_parallel(1);
-        parallel.set_parallel_workers(Some(2));
-        parallel.set_faults(&faults).unwrap();
-        let p = parallel.run(&stim).unwrap();
-        assert_traces!("parallel-vs-sequential", &expected, &p);
     }
 
     /// `run_batch_with_faults` with per-lane plans equals K sequential

@@ -1,8 +1,8 @@
 //! Differential property tests of clock-gated scheduling: on randomly
 //! parameterized multi-rate networks, the gated executor must be
 //! **trace-identical** to the ungated compiled executor and to the
-//! reference executor — across sequential, parallel, and batched stepping,
-//! and across reset/replay.
+//! reference executor — across sequential and batched stepping, and across
+//! reset/replay.
 //!
 //! The generator varies sampled-subsystem periods and phases (including
 //! unnormalized phases larger than the period, which are only eventually
@@ -104,18 +104,12 @@ proptest! {
         prop_assert_eq!(&g, &replay);
     }
 
-    /// Level-parallel stepping and lane-major batched execution take the
-    /// same gated plan paths and stay trace-identical.
+    /// Batched execution takes the same gated plan paths and stays
+    /// trace-identical.
     #[test]
-    fn gated_parallel_and_batch_match(subs in arb_subs(), stim in arb_stimulus()) {
+    fn gated_batch_matches(subs in arb_subs(), stim in arb_stimulus()) {
         let mut sequential = multirate_net(&subs).prepare().unwrap();
         let expected = sequential.run(&stim).unwrap();
-
-        let mut parallel = multirate_net(&subs).prepare().unwrap();
-        parallel.enable_parallel(1);
-        parallel.set_parallel_workers(Some(2));
-        let p = parallel.run(&stim).unwrap();
-        prop_assert_eq!(&expected, &p);
 
         // Batch lanes of different lengths, including a truncated replica.
         let half: Vec<Vec<Message>> = stim[..stim.len() / 2].to_vec();

@@ -3,11 +3,11 @@
 //!
 //! `run_batch` now classifies nodes into lane-kernel execution over typed
 //! `f64`/`i64`/`bool` columns vs per-lane fallback replicas
-//! (`ReadyNetwork::set_batch_vectorization` toggles the whole path). These
-//! tests pin the safety net: the typed path is **bit-identical** to the
-//! per-lane `Message` path and to K sequential runs — mixed lane lengths,
-//! all-absent ticks, NaN payload bits, parallelism, and per-lane fault
-//! plans included.
+//! (`ReadyNetwork::set_batch_vectorization` toggles the whole path; off,
+//! each lane runs alone through the single-run loop). These tests pin the
+//! safety net: the typed path is **bit-identical** to the scalar batch and
+//! to K sequential runs — mixed lane lengths, all-absent ticks, NaN
+//! payload bits, and per-lane fault plans included.
 
 mod common;
 
@@ -110,8 +110,9 @@ fn arb_int_stimulus() -> impl Strategy<Value = Vec<Vec<Message>>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The typed-column path equals the per-lane `Message` path on random
-    /// networks over every block family, with mixed lane lengths.
+    /// The typed-column path equals the scalar batch (each lane run alone)
+    /// on random networks over every block family, with mixed lane
+    /// lengths.
     #[test]
     fn typed_batch_matches_message_batch(
         seed in any::<u64>(),
@@ -157,28 +158,6 @@ proptest! {
             let single = build(spec).prepare().unwrap().run(stim).unwrap();
             prop_assert_eq!(&batch[lane], &single, "lane {}", lane);
         }
-    }
-
-    /// Parallel batching (which takes the `Message` path) agrees with the
-    /// default typed path.
-    #[test]
-    fn parallel_batch_matches_typed_batch(
-        seed in any::<u64>(),
-        n_nodes in 1usize..20,
-        n_inputs in 0usize..4,
-        k in 1usize..5,
-        base_ticks in 1usize..20,
-    ) {
-        let spec = Spec { seed, n_nodes, n_inputs };
-        let stimuli = scenarios(spec, k, base_ticks);
-        let typed = build(spec).prepare().unwrap();
-        let mut par = build(spec).prepare().unwrap();
-        par.enable_parallel(2);
-        par.set_parallel_workers(Some(2));
-        prop_assert_eq!(
-            typed.run_batch(&stimuli).unwrap(),
-            par.run_batch(&stimuli).unwrap()
-        );
     }
 
     /// `run_batch_with_faults` composes with the typed path: installed +

@@ -12,7 +12,7 @@
 
 use std::sync::{Arc, Condvar, Mutex};
 
-use automode_core::json::JsonWriter;
+use automode_core::json::{Json, JsonWriter};
 use automode_core::model::{ComponentId, Model};
 use automode_core::text::from_text;
 use automode_explore::{
@@ -22,7 +22,6 @@ use automode_explore::{
 use automode_kernel::CoverageLayout;
 use automode_sim::CompiledSim;
 
-use crate::json::Json;
 use crate::pool::{Job, WorkerPool};
 use crate::ServiceError;
 
@@ -392,7 +391,7 @@ pub fn execute_explore(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
+    use automode_core::json::parse;
 
     #[test]
     fn spec_defaults_and_limits() {

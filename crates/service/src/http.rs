@@ -424,7 +424,7 @@ fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
 
 fn handle_sweep(shared: &Arc<Shared>, stream: &mut TcpStream, body: &str) {
     let started = Instant::now();
-    let spec = match crate::json::parse(body)
+    let spec = match automode_core::json::parse(body)
         .map_err(ServiceError::BadRequest)
         .and_then(|doc| SweepSpec::from_json(&doc))
     {
@@ -520,7 +520,7 @@ fn handle_sweep(shared: &Arc<Shared>, stream: &mut TcpStream, body: &str) {
 
 fn handle_explore(shared: &Arc<Shared>, stream: &mut TcpStream, body: &str) {
     let started = Instant::now();
-    let spec = match crate::json::parse(body)
+    let spec = match automode_core::json::parse(body)
         .map_err(ServiceError::BadRequest)
         .and_then(|doc| ExploreSpec::from_json(&doc))
     {

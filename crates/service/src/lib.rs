@@ -28,8 +28,8 @@
 //!
 //! The workspace is offline: no tokio, no hyper, no serde. HTTP/1.1 is
 //! hand-rolled over [`std::net::TcpListener`] with a connection thread
-//! pool, JSON parsing is the small recursive-descent reader in [`json`],
-//! and encoding reuses [`automode_core::json`] / [`automode_sim::report`].
+//! pool, and JSON parsing and encoding reuse [`automode_core::json`] /
+//! [`automode_sim::report`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,7 +38,6 @@ pub mod cache;
 pub mod client;
 pub mod explore;
 pub mod http;
-pub mod json;
 pub mod pool;
 pub mod sweep;
 
@@ -46,7 +45,6 @@ pub use cache::{CacheStats, ModelCache};
 pub use client::{get, post_explore, post_sweep, SweepStream};
 pub use explore::{execute_explore, ExploreSpec, PoolRunner};
 pub use http::{serve, Server, ServerConfig};
-pub use json::Json;
 pub use pool::{PoolStats, WorkerPool};
 pub use sweep::{execute, ExecOpts, SweepOutcome, SweepSpec};
 

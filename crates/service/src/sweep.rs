@@ -22,12 +22,11 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
-use automode_core::json::JsonWriter;
+use automode_core::json::{Json, JsonWriter};
 use automode_kernel::{vcd, FaultKind, Stream, Value};
 use automode_sim::report::sim_run_to_json;
 use automode_sim::{stimulus, BatchScenario, CompiledSim, SimRun};
 
-use crate::json::Json;
 use crate::pool::{Job, WorkerPool};
 use crate::ServiceError;
 
@@ -469,7 +468,7 @@ pub fn execute(
 ) -> std::io::Result<SweepOutcome> {
     let shards = spec.shards();
     // The oracle clone drops the typed-lane fast path: same compiled
-    // artifact, scalar reference semantics.
+    // artifact, each lane run alone through the single-run loop.
     let oracle: Option<Arc<CompiledSim>> = if opts.oracle_every > 0 {
         let mut o = (**sim).clone();
         o.set_batch_vectorization(false);
@@ -680,7 +679,7 @@ fn error_line(i: usize, msg: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
+    use automode_core::json::parse;
 
     fn spec_doc(extra: &str) -> String {
         let model = gain_model();

@@ -8,11 +8,10 @@
 
 use std::sync::Arc;
 
-use automode_core::json::JsonWriter;
+use automode_core::json::{parse, JsonWriter};
 use automode_core::model::Model;
 use automode_core::text::{from_text, to_text};
 use automode_kernel::{Stream, Value};
-use automode_service::json::parse;
 use automode_service::sweep::scenario_line;
 use automode_service::{get, post_explore, post_sweep, serve, ServerConfig};
 use automode_sim::{stimulus, CompiledSim};

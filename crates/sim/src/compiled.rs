@@ -149,17 +149,6 @@ impl CompiledSim {
         self.input_names.iter().map(String::as_str)
     }
 
-    /// Enables lane/level-parallel stepping (see
-    /// [`ReadyNetwork::enable_parallel`](automode_kernel::ReadyNetwork::enable_parallel)).
-    pub fn enable_parallel(&mut self, min_width: usize) {
-        self.ready.enable_parallel(min_width);
-    }
-
-    /// Restores sequential stepping.
-    pub fn disable_parallel(&mut self) {
-        self.ready.disable_parallel();
-    }
-
     /// Disables clock-gated scheduling, falling back to the full per-tick
     /// schedule (see
     /// [`ReadyNetwork::disable_clock_gating`](automode_kernel::ReadyNetwork::disable_clock_gating)).
@@ -170,9 +159,10 @@ impl CompiledSim {
 
     /// Toggles the typed-column vectorized batch path (see
     /// [`ReadyNetwork::set_batch_vectorization`](automode_kernel::ReadyNetwork::set_batch_vectorization)).
-    /// On by default; turning it off forces the per-lane `Message` path —
-    /// the traces are bit-identical either way, so this only matters for
-    /// differential testing and perf comparisons.
+    /// On by default; turning it off runs each lane alone through the
+    /// single-run loop — traces and errors are bit-identical either way,
+    /// so this only matters for the live oracle, differential testing and
+    /// perf comparisons.
     pub fn set_batch_vectorization(&mut self, on: bool) {
         self.ready.set_batch_vectorization(on);
     }
@@ -205,12 +195,6 @@ impl CompiledSim {
             inputs: self.input_names.len(),
             plan: self.ready.plan_info(),
         }
-    }
-
-    /// Overrides the parallel worker count (see
-    /// [`ReadyNetwork::set_parallel_workers`](automode_kernel::ReadyNetwork::set_parallel_workers)).
-    pub fn set_parallel_workers(&mut self, workers: Option<usize>) {
-        self.ready.set_parallel_workers(workers);
     }
 
     /// Resets the compiled network to its initial state.

@@ -2,8 +2,7 @@
 //!
 //! A reused compiled handle must match a fresh elaborate-and-run for every
 //! run, and `run_batch` must match per-scenario sequential runs — on a
-//! stateless component and on a stateful mode-switching (MTD) component,
-//! with lane parallelism off and on.
+//! stateless component and on a stateful mode-switching (MTD) component.
 
 use automode_core::model::{Behavior, Component, ComponentId, Model};
 use automode_core::types::DataType;
@@ -85,13 +84,8 @@ fn check_batch(
     model: &Model,
     component: ComponentId,
     scenarios: &[ScenarioInput],
-    parallel: bool,
 ) -> Result<(), TestCaseError> {
-    let mut sim = CompiledSim::new(model, component).unwrap();
-    if parallel {
-        sim.enable_parallel(2); // fan out even one-node-wide levels
-        sim.set_parallel_workers(Some(2)); // real spawns even on 1 CPU
-    }
+    let sim = CompiledSim::new(model, component).unwrap();
     let specs: Vec<BatchScenario<'_>> = scenarios
         .iter()
         .map(|s| BatchScenario::new(&s.inputs, s.ticks))
@@ -134,7 +128,7 @@ proptest! {
     }
 
     /// `run_batch` matches per-scenario sequential simulation on the
-    /// stateless component (heterogeneous horizons, parallel off and on).
+    /// stateless component (heterogeneous horizons).
     #[test]
     fn batch_matches_sequential_on_stateless_model(
         seed in any::<u64>(),
@@ -143,8 +137,7 @@ proptest! {
     ) {
         let (model, component) = gain_model();
         let scenarios = lane_inputs("u", k, base_ticks, seed);
-        check_batch(&model, component, &scenarios, false)?;
-        check_batch(&model, component, &scenarios, true)?;
+        check_batch(&model, component, &scenarios)?;
     }
 
     /// `run_batch` matches per-scenario sequential simulation on the
@@ -157,7 +150,6 @@ proptest! {
     ) {
         let (model, component) = mtd_model();
         let scenarios = lane_inputs("x", k, base_ticks, seed);
-        check_batch(&model, component, &scenarios, false)?;
-        check_batch(&model, component, &scenarios, true)?;
+        check_batch(&model, component, &scenarios)?;
     }
 }

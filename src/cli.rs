@@ -670,7 +670,7 @@ pub fn cmd_explore(
 ///
 /// Unknown models, rejected requests, truncated streams.
 pub fn cmd_sweep(model_name: &str, count: usize, ticks: usize) -> Result<String, CliError> {
-    use automode_core::json::JsonWriter;
+    use automode_core::json::{parse, Json, JsonWriter};
     use automode_core::types::DataType;
 
     let (m, id) = build_model(model_name)?;
@@ -727,7 +727,7 @@ pub fn cmd_sweep(model_name: &str, count: usize, ticks: usize) -> Result<String,
     if !resp.complete {
         return Err(CliError("truncated sweep stream".into()));
     }
-    let parse_line = |l: &str| automode_service::json::parse(l).map_err(CliError);
+    let parse_line = |l: &str| parse(l).map_err(CliError);
     let header = parse_line(&resp.lines[0])?;
     let sweep = header
         .get("sweep")
@@ -741,9 +741,8 @@ pub fn cmd_sweep(model_name: &str, count: usize, ticks: usize) -> Result<String,
         .get("done")
         .ok_or_else(|| CliError("missing done line".into()))?;
     let stats = parse_line(&stats_body)?;
-    let uint = |v: Option<&automode_service::Json>| v.and_then(|v| v.as_u64()).unwrap_or(0);
-    let text_of =
-        |v: Option<&automode_service::Json>| v.and_then(|v| v.as_str()).unwrap_or("?").to_string();
+    let uint = |v: Option<&Json>| v.and_then(|v| v.as_u64()).unwrap_or(0);
+    let text_of = |v: Option<&Json>| v.and_then(|v| v.as_str()).unwrap_or("?").to_string();
 
     let mut out = String::new();
     let _ = writeln!(out, "scenario sweep: {model_name}");
