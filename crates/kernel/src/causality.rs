@@ -85,38 +85,12 @@ pub fn analyze(n: usize, edges: &[(usize, usize)]) -> CausalityReport {
     CausalityReport { order, loops }
 }
 
-/// A complete static evaluation schedule for a causal network: a
-/// topological order plus its **levelization** — the partition of nodes by
-/// longest instantaneous-dependency path. All nodes within one level are
-/// mutually independent (no instantaneous edge connects them), so a level
-/// may be evaluated in parallel once every earlier level has finished.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Schedule {
-    /// A valid sequential evaluation order (topological, lowest-index-first
-    /// for determinism).
-    pub order: Vec<usize>,
-    /// `level_of[i]` is node `i`'s level: 0 for nodes with no instantaneous
-    /// predecessor, else `1 + max(level of predecessors)`.
-    pub level_of: Vec<usize>,
-    /// Nodes grouped by level, ascending; within a level, ascending node
-    /// index. Concatenated, the levels are themselves a valid order.
-    pub levels: Vec<Vec<usize>>,
-}
-
-impl Schedule {
-    /// Width of the widest level — the peak exploitable parallelism.
-    pub fn max_width(&self) -> usize {
-        self.levels.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
-    /// Number of levels (the critical-path length, in blocks).
-    pub fn depth(&self) -> usize {
-        self.levels.len()
-    }
-}
-
 /// Convenience wrapper: returns an evaluation order or an error naming the
 /// first instantaneous loop found.
+///
+/// The order is the lowest-index-first topological order of
+/// [`analyze`] — the one order every executor and clock engine steps, so
+/// all of them agree on which block fails first within a tick.
 ///
 /// # Errors
 ///
@@ -127,47 +101,12 @@ pub fn check(
     edges: &[(usize, usize)],
     name_of: impl Fn(usize) -> String,
 ) -> Result<Vec<usize>, CausalityError> {
-    check_schedule(n, edges, name_of).map(|s| s.order)
-}
-
-/// Full causality check: like [`check`], but also computes the
-/// topological levelization the executors and clock engines step by.
-///
-/// # Errors
-///
-/// Returns [`CausalityError`] carrying the loop (as names resolved through
-/// `name_of`) if one exists.
-pub fn check_schedule(
-    n: usize,
-    edges: &[(usize, usize)],
-    name_of: impl Fn(usize) -> String,
-) -> Result<Schedule, CausalityError> {
     let report = analyze(n, edges);
-    let Some(order) = report.order else {
-        let cycle = order_cycle(&report.loops[0], edges);
-        return Err(CausalityError {
-            cycle: cycle.into_iter().map(name_of).collect(),
-        });
-    };
-    // Longest-path levelization over the (acyclic) dependency graph,
-    // computed in topological order.
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for &(a, b) in edges {
-        preds[b].push(a);
-    }
-    let mut level_of = vec![0usize; n];
-    for &i in &order {
-        level_of[i] = preds[i].iter().map(|&p| level_of[p] + 1).max().unwrap_or(0);
-    }
-    let depth = level_of.iter().map(|&l| l + 1).max().unwrap_or(0);
-    let mut levels: Vec<Vec<usize>> = vec![Vec::new(); depth];
-    for i in 0..n {
-        levels[level_of[i]].push(i);
-    }
-    Ok(Schedule {
-        order,
-        level_of,
-        levels,
+    report.order.ok_or_else(|| CausalityError {
+        cycle: order_cycle(&report.loops[0], edges)
+            .into_iter()
+            .map(name_of)
+            .collect(),
     })
 }
 
@@ -356,44 +295,6 @@ mod tests {
         // delayed — i.e. simply not part of the instantaneous edge set.
         let r = analyze(2, &[(0, 1)]);
         assert!(r.is_causal());
-    }
-
-    #[test]
-    fn levelization_matches_longest_path() {
-        // 0 -> 1 -> 3, 2 -> 3; node 4 is isolated.
-        let edges = [(0, 1), (1, 3), (2, 3)];
-        let s = check_schedule(5, &edges, name).unwrap();
-        assert_eq!(s.level_of, vec![0, 1, 0, 2, 0]);
-        assert_eq!(s.levels, vec![vec![0, 2, 4], vec![1], vec![3]]);
-        assert_eq!(s.max_width(), 3);
-        assert_eq!(s.depth(), 3);
-    }
-
-    #[test]
-    fn levels_never_contain_an_edge() {
-        let edges = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (0, 4)];
-        let s = check_schedule(6, &edges, name).unwrap();
-        for level in &s.levels {
-            for &(a, b) in &edges {
-                assert!(
-                    !(level.contains(&a) && level.contains(&b)),
-                    "edge ({a},{b}) inside level {level:?}"
-                );
-            }
-        }
-        // Concatenated levels are themselves a topological order.
-        let concat: Vec<usize> = s.levels.iter().flatten().copied().collect();
-        let pos = |i: usize| concat.iter().position(|&x| x == i).unwrap();
-        for &(a, b) in &edges {
-            assert!(pos(a) < pos(b));
-        }
-    }
-
-    #[test]
-    fn empty_schedule_has_no_levels() {
-        let s = check_schedule(0, &[], name).unwrap();
-        assert_eq!(s.depth(), 0);
-        assert_eq!(s.max_width(), 0);
     }
 
     #[test]

@@ -1,25 +1,25 @@
 //! Discrete-event scheduling: compiling clock structure into firing events.
 //!
-//! The gated hyperperiod plan (PR 4) removed provably-inert nodes from each
-//! phase's schedule, but the executor still *visited* every tick and walked
-//! a per-phase list. This module turns the same static clock analysis into
+//! One static clock analysis (`derive_activity`) bounds every node's
+//! activity by a symbolic clock, derived from the blocks'
+//! [`ClockBehavior`] contracts in schedule order. [`compile`] turns it into
 //! an event-driven [`Engine`] with two backends:
 //!
-//! * **Wheel** — the per-phase schedules over one hyperperiod, now annotated
-//!   with which phases are *quiet* (no node steps, commits, or clears), so
-//!   the run loops fast-forward silent stretches in O(1) per tick instead of
-//!   walking an empty phase list.
-//! * **Heap** — for networks whose clock lcm exceeds the plan caps (which
-//!   previously lost gating wholesale): each skippable node carries a
-//!   symbolic *activity clock*, and a calendar of `(next_tick, node)` events
-//!   in binary heaps produces the activation set for exactly the ticks where
-//!   something fires. Silent gaps between events are skipped outright.
+//! * **Wheel** — per-phase node lists over one hyperperiod, sampled from
+//!   the activity clocks, annotated with which phases are *quiet* (no node
+//!   steps, commits, or clears), so the run loops fast-forward silent
+//!   stretches in O(1) per tick.
+//! * **Heap** — for networks whose clock lcm exceeds the wheel caps: a
+//!   calendar of `(next_tick, node)` events over the activity clocks
+//!   produces the activation set for exactly the ticks where something
+//!   fires. Silent gaps between events are skipped outright.
 //!
-//! Both backends feed the executors one [`Activation`] per working tick —
-//! level lists, commit list, and arena-clear list — so the levelized
-//! schedule, typed lane columns, fault plans, and commit machinery are
-//! shared unchanged across the incremental, batch-`Message`, and
-//! batch-typed stepping loops.
+//! Both backends feed the stepping loops one [`Activation`] per working
+//! tick — the nodes to step, the commit list and the arena-clear list.
+//! Every list is a subsequence of the causality check's order
+//! ([`crate::causality::check`]), the order the dense schedule and the
+//! reference executor step, so every engine meets a failing block in the
+//! same order.
 //!
 //! ## Soundness
 //!
@@ -30,13 +30,12 @@
 //! state change, exactly what the dense executor does every tick. What is
 //! *never* allowed is the converse: skipping a node on a tick where it
 //! could act. The heap's [`Clock::next_active_from`] lower bound and the
-//! wheel's presence patterns both maintain that invariant.
+//! wheel's sampled phase patterns both maintain that invariant.
 
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::causality::Schedule;
 use crate::clock::checked_lcm;
 use crate::ops::ClockBehavior;
 use crate::{Clock, Tick};
@@ -275,10 +274,9 @@ impl<E> Calendar<E> {
 /// schedule walk is identical across backends.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Activation<'a> {
-    /// Level lists with inert nodes removed (ascending node indices within
-    /// each level, the order the dense schedule steps them in).
-    pub levels: &'a [Vec<usize>],
-    /// Commit-pass nodes, ascending.
+    /// Nodes to step, in schedule order, inert ones removed.
+    pub nodes: &'a [usize],
+    /// Commit-pass nodes, in schedule order, inert ones removed.
     pub commits: &'a [usize],
     /// Nodes whose arena outputs must be cleared to absent this tick
     /// (they just went inert).
@@ -320,9 +318,9 @@ pub(crate) struct WheelPlan {
     /// First tick from which every declared clock is strictly periodic,
     /// rounded up to a hyperperiod multiple.
     pub settle: Tick,
-    /// `phase_levels[p]`: the levelized schedule with inert nodes removed
-    /// and emptied levels dropped.
-    pub phase_levels: Vec<Vec<Vec<usize>>>,
+    /// `phase_nodes[p]`: the schedule order with the nodes inert at phase
+    /// `p` removed.
+    pub phase_nodes: Vec<Vec<usize>>,
     /// `phase_commits[p]`: the commit pass with inert nodes removed.
     pub phase_commits: Vec<Vec<usize>>,
     /// Nodes that go inert at phase `p` after being active at the previous
@@ -478,20 +476,15 @@ pub(crate) struct HeapPlan {
     pub clock_of: Vec<Option<Clock>>,
     /// `never[i]`: node `i` is skippable and provably never active.
     pub never: Vec<bool>,
-    /// Level index of node `i` in the full levelized schedule.
-    pub level_of: Vec<usize>,
+    /// `rank[i]`: node `i`'s position in the schedule order.
+    pub rank: Vec<usize>,
     /// `needs_commit[i]` per node.
     pub needs_commit: Vec<bool>,
-    /// Always-active nodes bucketed by level (ascending within each).
-    pub base_levels: Vec<Vec<usize>>,
-    /// [`HeapPlan::base_levels`] with emptied levels dropped: the
-    /// activation served directly on event-free ticks, so the executor
-    /// never walks levels holding only event-driven nodes.
-    pub base_levels_compact: Vec<Vec<usize>>,
-    /// Always-active commit nodes, ascending.
+    /// Always-active nodes in schedule order: the activation served
+    /// directly on event-free ticks. When non-empty, no tick is quiet.
+    pub base_nodes: Vec<usize>,
+    /// Always-active commit nodes, in schedule order.
     pub base_commits: Vec<usize>,
-    /// Whether any node is always active (then no tick is ever quiet).
-    pub any_base: bool,
 }
 
 /// The runtime cursor over a [`HeapPlan`]: pending firing and clear events
@@ -502,7 +495,7 @@ pub(crate) struct HeapPlan {
 /// [`HeapState::quiet_until`] to fast-forward gaps; any out-of-sequence
 /// tick (mode switches, dense fault ticks in between) triggers a
 /// conservative O(n) rebuild.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct HeapState {
     /// The tick the calendars are positioned at (`primed` guards first use).
     next_t: Tick,
@@ -511,35 +504,16 @@ pub(crate) struct HeapState {
     fires: Calendar<usize>,
     /// Pending node arena-clear events, min-ordered by tick.
     clears: Calendar<usize>,
-    /// Reused per-tick activation buffers. `levels` is kept equal to the
-    /// plan's base levels between event ticks; `touched` remembers which
-    /// levels the last event tick amended so only those are restored.
-    levels: Vec<Vec<usize>>,
+    /// Reused per-tick activation buffers. `nodes` and `commits` are
+    /// rebuilt only on ticks where some node fires; otherwise the plan's
+    /// base lists are served directly.
+    nodes: Vec<usize>,
     commits: Vec<usize>,
     clear_list: Vec<usize>,
     fired: Vec<usize>,
-    touched: Vec<usize>,
-    /// The last prepared tick had no events at all: serve the plan's base
-    /// activation directly instead of the rebuilt buffers.
-    use_base: bool,
 }
 
 impl HeapState {
-    pub fn new(plan: &HeapPlan) -> Self {
-        HeapState {
-            next_t: 0,
-            primed: false,
-            fires: Calendar::new(),
-            clears: Calendar::new(),
-            levels: plan.base_levels.clone(),
-            commits: Vec::new(),
-            clear_list: Vec::new(),
-            fired: Vec::new(),
-            touched: Vec::new(),
-            use_base: false,
-        }
-    }
-
     /// Repositions the calendar at tick `t` from scratch. Conservative:
     /// every event-driven node not firing at `t` gets a clear event, so
     /// stale arena values from whatever ran before (dense fault ticks, a
@@ -547,11 +521,6 @@ impl HeapState {
     fn rebuild(&mut self, plan: &HeapPlan, t: Tick) {
         self.fires.clear();
         self.clears.clear();
-        for &li in &self.touched {
-            self.levels[li].clear();
-            self.levels[li].extend_from_slice(&plan.base_levels[li]);
-        }
-        self.touched.clear();
         for (i, c) in plan.clock_of.iter().enumerate() {
             if plan.never[i] {
                 self.clears.schedule(t, i);
@@ -592,55 +561,29 @@ impl HeapState {
         }
 
         self.next_t = t + 1;
-        if self.fired.is_empty() && self.clear_list.is_empty() {
-            // Nothing fires or clears at `t`: the activation is exactly
-            // the base sets, no buffer rebuild needed. On sparse networks
-            // this is the overwhelmingly common working tick.
-            self.use_base = true;
+        self.clear_list.sort_unstable();
+        if self.fired.is_empty() {
+            // Nothing fires at `t`: the activation is the plan's base
+            // lists, no buffer rebuild needed. On sparse networks this is
+            // the overwhelmingly common working tick.
             return;
         }
-        self.use_base = false;
-        self.clear_list.sort_unstable();
-        self.fired.sort_unstable();
+        self.fired.sort_unstable_by_key(|&i| plan.rank[i]);
 
-        // Restore the levels the previous event tick amended, then splice
-        // the freshly fired nodes in. Levels keep ascending node indices,
-        // the dense schedule's order; base and fired are each sorted but
-        // interleave, so only amended levels are re-sorted.
-        for &li in &self.touched {
-            self.levels[li].clear();
-            self.levels[li].extend_from_slice(&plan.base_levels[li]);
-        }
-        self.touched.clear();
-        for &i in &self.fired {
-            let li = plan.level_of[i];
-            self.levels[li].push(i);
-            self.touched.push(li);
-        }
-        for &li in &self.touched {
-            self.levels[li].sort_unstable();
-        }
-
-        // Commits: merge the sorted base list with the sorted fired list.
-        self.commits.clear();
-        let mut fired_commits = self
-            .fired
-            .iter()
-            .copied()
-            .filter(|&i| plan.needs_commit[i])
-            .peekable();
-        for &b in &plan.base_commits {
-            while let Some(&fc) = fired_commits.peek() {
-                if fc < b {
-                    self.commits.push(fc);
-                    fired_commits.next();
-                } else {
-                    break;
-                }
+        // Merge the fired nodes into the always-active ones in one pass,
+        // both in schedule order; the commit list follows from it.
+        self.nodes.clear();
+        let mut fired = self.fired.iter().copied().peekable();
+        for &b in &plan.base_nodes {
+            while let Some(f) = fired.next_if(|&f| plan.rank[f] < plan.rank[b]) {
+                self.nodes.push(f);
             }
-            self.commits.push(b);
+            self.nodes.push(b);
         }
-        self.commits.extend(fired_commits);
+        self.nodes.extend(fired);
+        self.commits.clear();
+        self.commits
+            .extend(self.nodes.iter().copied().filter(|&i| plan.needs_commit[i]));
 
         // Reschedule everything that fired; a gap before the next firing
         // schedules one clear so the skipped stretch reads absent.
@@ -663,18 +606,15 @@ impl HeapState {
 
     /// The activation sets materialized by the last [`HeapState::prepare`].
     pub fn activation<'a>(&'a self, plan: &'a HeapPlan) -> Activation<'a> {
-        if self.use_base {
-            Activation {
-                levels: &plan.base_levels_compact,
-                commits: &plan.base_commits,
-                clears: &[],
-            }
+        let (nodes, commits) = if self.fired.is_empty() {
+            (&plan.base_nodes, &plan.base_commits)
         } else {
-            Activation {
-                levels: &self.levels,
-                commits: &self.commits,
-                clears: &self.clear_list,
-            }
+            (&self.nodes, &self.commits)
+        };
+        Activation {
+            nodes,
+            commits,
+            clears: &self.clear_list,
         }
     }
 
@@ -683,7 +623,7 @@ impl HeapState {
     /// tick `t` has pending events (or the plan has always-active nodes,
     /// in which case no tick is quiet).
     pub fn quiet_until(&mut self, plan: &HeapPlan, t: Tick, limit: Tick) -> Tick {
-        if plan.any_base {
+        if !plan.base_nodes.is_empty() {
             return t;
         }
         if !self.primed || self.next_t != t {
@@ -701,10 +641,11 @@ impl HeapState {
 }
 
 /// Compiles the distilled clock facts into an [`Engine`], reporting why
-/// the wheel was rejected when it was.
+/// the wheel was rejected when it was. `order` is the causality check's
+/// evaluation order and `commit_nodes` the commit-pass nodes in that order.
 pub(crate) fn compile(
     meta: &[NodeMeta],
-    schedule: &Schedule,
+    order: &[usize],
     commit_nodes: &[usize],
 ) -> (Engine, Option<PlanRejection>) {
     let n = meta.len();
@@ -756,8 +697,9 @@ pub(crate) fn compile(
         }
     }
 
+    let act = || derive_activity(meta, order);
     match rejection {
-        None => match compile_wheel(meta, schedule, commit_nodes, h, max_phase) {
+        None => match compile_wheel(&act(), order, commit_nodes, h, max_phase) {
             Some(wheel) => (Engine::Wheel(Arc::new(wheel)), None),
             None => (Engine::Dense, Some(PlanRejection::NoInertNodes)),
         },
@@ -767,7 +709,7 @@ pub(crate) fn compile(
             r @ (PlanRejection::HyperperiodCap { .. }
             | PlanRejection::PlanCells { .. }
             | PlanRejection::ClockOverflow),
-        ) => match compile_heap(meta, schedule, commit_nodes) {
+        ) => match compile_heap(&act(), order, commit_nodes) {
             Some(heap) => (Engine::Heap(Arc::new(heap)), Some(r)),
             None => (Engine::Dense, Some(r)),
         },
@@ -775,161 +717,116 @@ pub(crate) fn compile(
     }
 }
 
-/// ANDs the presence pattern of `src` into `pat` (open sources zero it,
-/// externals are unknowable and stay `true`).
-fn and_presence(pat: &mut [bool], src: SrcRef, active: &[Vec<bool>]) {
-    match src {
-        SrcRef::Open => pat.fill(false),
-        SrcRef::External => {}
-        SrcRef::Node { node, .. } => {
-            for (b, a) in pat.iter_mut().zip(&active[node]) {
-                *b &= *a;
+/// Derives every node's activity bound from the clock contracts, in
+/// schedule order so instantaneous sources resolve first. The invariant:
+/// a node is inactive at `t` only if it is provably inert there — outputs
+/// absent, no state change, no error. Nodes that are not skippable at all
+/// get [`Act::Always`].
+fn derive_activity(meta: &[NodeMeta], order: &[usize]) -> Vec<Act> {
+    let src_act = |src: SrcRef, act: &[Act]| -> Act {
+        match src {
+            SrcRef::Open => Act::Never,
+            SrcRef::External => Act::Always,
+            SrcRef::Node { node, .. } => act[node].clone(),
+        }
+    };
+    let mut act: Vec<Act> = vec![Act::Always; meta.len()];
+    // A `BoolGate` node's output is always present; its *value* pattern
+    // gates any sampler it feeds.
+    let mut gate: Vec<Option<Clock>> = vec![None; meta.len()];
+    for &i in order {
+        let sources = &meta[i].sources;
+        match &meta[i].behavior {
+            ClockBehavior::Opaque => {}
+            ClockBehavior::Declared(c) => act[i] = Act::on(c),
+            ClockBehavior::BoolGate(c) => gate[i] = Some(c.clone()),
+            ClockBehavior::StrictEach(ports) => {
+                act[i] = ports
+                    .iter()
+                    .fold(Act::Always, |a, &p| a.and(src_act(sources[p], &act)));
             }
+            // No message inputs read: a constant expression, always live.
+            ClockBehavior::StrictAll(ports) if ports.is_empty() => {}
+            ClockBehavior::StrictAll(ports) => {
+                act[i] = ports
+                    .iter()
+                    .fold(Act::Never, |a, &p| a.or(src_act(sources[p], &act)));
+            }
+            ClockBehavior::Sampler { cond } => {
+                let mut a = sources
+                    .iter()
+                    .fold(Act::Always, |a, &src| a.and(src_act(src, &act)));
+                if let SrcRef::Node { node, port: 0 } = sources[*cond] {
+                    if let Some(g) = &gate[node] {
+                        a = a.and(Act::on(g));
+                    }
+                }
+                act[i] = a;
+            }
+            ClockBehavior::Passthrough => match sources[0] {
+                SrcRef::Open => act[i] = Act::Never,
+                SrcRef::External => {}
+                SrcRef::Node { node, port } => {
+                    act[i] = act[node].clone();
+                    if port == 0 {
+                        gate[i] = gate[node].clone();
+                    }
+                }
+            },
         }
     }
+    act
 }
 
-/// ORs the presence pattern of `src` into `acc`.
-fn or_presence(acc: &mut [bool], src: SrcRef, active: &[Vec<bool>]) {
-    match src {
-        SrcRef::Open => {}
-        SrcRef::External => acc.fill(true),
-        SrcRef::Node { node, .. } => {
-            for (b, a) in acc.iter_mut().zip(&active[node]) {
-                *b |= *a;
-            }
-        }
-    }
-}
-
-/// Compiles the per-phase wheel (the PR 4 gated plan, plus quiet-phase
-/// annotation). Returns `None` when no node is ever provably inert.
+/// Compiles the per-phase wheel by sampling the activity clocks over one
+/// hyperperiod, plus quiet-phase annotation. Returns `None` when no node
+/// is ever provably inert.
 fn compile_wheel(
-    meta: &[NodeMeta],
-    schedule: &Schedule,
+    act: &[Act],
+    order: &[usize],
     commit_nodes: &[usize],
     h: u64,
     max_phase: u64,
 ) -> Option<WheelPlan> {
-    let n = meta.len();
+    let n = act.len();
     // Clocks with unnormalized phase offsets (constructible through the pub
     // `Every` fields) are only *eventually* periodic; gating engages at the
     // first hyperperiod boundary past every offset.
     let settle: Tick = max_phase.div_ceil(h) * h;
     let hh = h as usize;
-    let pattern = |c: &Clock| -> Vec<bool> { (0..h).map(|p| c.is_active(settle + p)).collect() };
-
-    // `active[i][p]` is an upper bound on node `i`'s output presence at
-    // phase `p`, with the invariant that `false` implies *provably absent*
-    // at every gated tick of that phase. `skip[i]` marks nodes proven inert
-    // on their inactive phases: outputs absent, no state change, no error.
-    // Computed in schedule order so instantaneous sources resolve first.
-    let mut active: Vec<Vec<bool>> = vec![vec![true; hh]; n];
-    let mut skip = vec![false; n];
-    let mut gate: Vec<Option<Vec<bool>>> = vec![None; n];
-    for &i in &schedule.order {
-        match &meta[i].behavior {
-            ClockBehavior::Opaque => {}
-            ClockBehavior::Declared(c) => {
-                active[i] = pattern(c);
-                skip[i] = true;
-            }
-            ClockBehavior::BoolGate(c) => {
-                // Output always present; the *value* pattern gates any
-                // sampler it feeds. Not skippable itself.
-                gate[i] = Some(pattern(c));
-            }
-            ClockBehavior::StrictEach(ports) => {
-                let mut pat = vec![true; hh];
-                for &p in ports {
-                    and_presence(&mut pat, meta[i].sources[p], &active);
-                }
-                active[i] = pat;
-                skip[i] = true;
-            }
-            ClockBehavior::StrictAll(ports) => {
-                if ports.is_empty() {
-                    // No message inputs read: a constant expression, always
-                    // live.
-                    continue;
-                }
-                let mut any = vec![false; hh];
-                for &p in ports {
-                    or_presence(&mut any, meta[i].sources[p], &active);
-                }
-                active[i] = any;
-                skip[i] = true;
-            }
-            ClockBehavior::Sampler { cond } => {
-                let mut pat = vec![true; hh];
-                for &src in &meta[i].sources {
-                    and_presence(&mut pat, src, &active);
-                }
-                if let SrcRef::Node { node, port: 0 } = meta[i].sources[*cond] {
-                    if let Some(g) = &gate[node] {
-                        for (b, x) in pat.iter_mut().zip(g) {
-                            *b &= *x;
-                        }
-                    }
-                }
-                active[i] = pat;
-                skip[i] = true;
-            }
-            ClockBehavior::Passthrough => {
-                match meta[i].sources[0] {
-                    SrcRef::Open => active[i] = vec![false; hh],
-                    SrcRef::External => {}
-                    SrcRef::Node { node, port } => {
-                        active[i] = active[node].clone();
-                        if port == 0 {
-                            gate[i] = gate[node].clone();
-                        }
-                    }
-                }
-                skip[i] = true;
-            }
-        }
-    }
-
-    let inert = |i: usize, p: usize| skip[i] && !active[i][p];
-    if !(0..n).any(|i| (0..hh).any(|p| inert(i, p))) {
+    // `inert[i][p]`: node `i` is provably inert at every gated tick of
+    // phase `p`.
+    let inert: Vec<Vec<bool>> = act
+        .iter()
+        .map(|a| match a {
+            Act::Always => vec![false; hh],
+            Act::Never => vec![true; hh],
+            Act::On(c) => (0..h).map(|p| !c.is_active(settle + p)).collect(),
+        })
+        .collect();
+    if !inert.iter().flatten().any(|&x| x) {
         return None;
     }
 
-    let mut phase_levels = Vec::with_capacity(hh);
-    let mut phase_commits: Vec<Vec<usize>> = Vec::with_capacity(hh);
-    let mut phase_clears: Vec<Vec<usize>> = Vec::with_capacity(hh);
-    for p in 0..hh {
-        let levels: Vec<Vec<usize>> = schedule
-            .levels
-            .iter()
-            .map(|lvl| {
-                lvl.iter()
-                    .copied()
-                    .filter(|&i| !inert(i, p))
-                    .collect::<Vec<usize>>()
-            })
-            .filter(|lvl| !lvl.is_empty())
-            .collect();
-        phase_levels.push(levels);
-        phase_commits.push(
-            commit_nodes
-                .iter()
-                .copied()
-                .filter(|&i| !inert(i, p))
-                .collect(),
-        );
-        let prev = (p + hh - 1) % hh;
-        phase_clears.push((0..n).filter(|&i| inert(i, p) && !inert(i, prev)).collect());
-    }
-    let entry_clears: Vec<usize> = (0..n).filter(|&i| inert(i, 0)).collect();
+    let live = |list: &[usize], p: usize| -> Vec<usize> {
+        list.iter().copied().filter(|&i| !inert[i][p]).collect()
+    };
+    let phase_nodes: Vec<Vec<usize>> = (0..hh).map(|p| live(order, p)).collect();
+    let phase_commits: Vec<Vec<usize>> = (0..hh).map(|p| live(commit_nodes, p)).collect();
+    let phase_clears: Vec<Vec<usize>> = (0..hh)
+        .map(|p| {
+            let prev = (p + hh - 1) % hh;
+            (0..n).filter(|&i| inert[i][p] && !inert[i][prev]).collect()
+        })
+        .collect();
+    let entry_clears: Vec<usize> = (0..n).filter(|&i| inert[i][0]).collect();
     let quiet: Vec<bool> = (0..hh)
         .map(|p| {
-            phase_levels[p].is_empty() && phase_commits[p].is_empty() && phase_clears[p].is_empty()
+            phase_nodes[p].is_empty() && phase_commits[p].is_empty() && phase_clears[p].is_empty()
         })
         .collect();
     let entry_quiet =
-        phase_levels[0].is_empty() && phase_commits[0].is_empty() && entry_clears.is_empty();
+        phase_nodes[0].is_empty() && phase_commits[0].is_empty() && entry_clears.is_empty();
     let any_quiet = entry_quiet || quiet.iter().any(|&q| q);
     // Circular run lengths of consecutive quiet phases: walk backwards from
     // a non-quiet anchor so each entry extends its successor's run.
@@ -949,7 +846,7 @@ fn compile_wheel(
     Some(WheelPlan {
         hyperperiod: h,
         settle,
-        phase_levels,
+        phase_nodes,
         phase_commits,
         phase_clears,
         entry_clears,
@@ -960,149 +857,42 @@ fn compile_wheel(
     })
 }
 
-/// Derives symbolic activity clocks and compiles the calendar-heap plan.
-/// Returns `None` when no node ends up event-driven (nothing to gain).
-fn compile_heap(
-    meta: &[NodeMeta],
-    schedule: &Schedule,
-    commit_nodes: &[usize],
-) -> Option<HeapPlan> {
-    let n = meta.len();
-
-    // The symbolic mirror of the wheel's per-phase presence patterns: the
-    // same derivation rules over [`Act`] instead of bool vectors, so it
-    // works for unbounded hyperperiods. `false ⇒ provably absent` becomes
-    // `inactive(act, t) ⇒ provably absent at t`.
-    let src_act = |src: SrcRef, act: &[Act]| -> Act {
-        match src {
-            SrcRef::Open => Act::Never,
-            SrcRef::External => Act::Always,
-            SrcRef::Node { node, .. } => act[node].clone(),
-        }
-    };
-    let mut act: Vec<Act> = vec![Act::Always; n];
-    let mut skip = vec![false; n];
-    let mut gate: Vec<Option<Clock>> = vec![None; n];
-    for &i in &schedule.order {
-        match &meta[i].behavior {
-            ClockBehavior::Opaque => {}
-            ClockBehavior::Declared(c) => {
-                act[i] = Act::on(c);
-                skip[i] = true;
-            }
-            ClockBehavior::BoolGate(c) => {
-                gate[i] = Some(c.clone());
-            }
-            ClockBehavior::StrictEach(ports) => {
-                let mut a = Act::Always;
-                for &p in ports {
-                    a = a.and(src_act(meta[i].sources[p], &act));
-                }
-                act[i] = a;
-                skip[i] = true;
-            }
-            ClockBehavior::StrictAll(ports) => {
-                if ports.is_empty() {
-                    continue;
-                }
-                let mut a = Act::Never;
-                for &p in ports {
-                    a = a.or(src_act(meta[i].sources[p], &act));
-                }
-                act[i] = a;
-                skip[i] = true;
-            }
-            ClockBehavior::Sampler { cond } => {
-                let mut a = Act::Always;
-                for &src in &meta[i].sources {
-                    a = a.and(src_act(src, &act));
-                }
-                if let SrcRef::Node { node, port: 0 } = meta[i].sources[*cond] {
-                    if let Some(g) = &gate[node] {
-                        a = a.and(Act::on(g));
-                    }
-                }
-                act[i] = a;
-                skip[i] = true;
-            }
-            ClockBehavior::Passthrough => {
-                match meta[i].sources[0] {
-                    SrcRef::Open => act[i] = Act::Never,
-                    SrcRef::External => {}
-                    SrcRef::Node { node, port } => {
-                        act[i] = act[node].clone();
-                        if port == 0 {
-                            gate[i] = gate[node].clone();
-                        }
-                    }
-                }
-                skip[i] = true;
-            }
-        }
-    }
-
+/// Compiles the calendar-heap plan from the activity clocks. Returns
+/// `None` when no node ends up event-driven (nothing to gain).
+fn compile_heap(act: &[Act], order: &[usize], commit_nodes: &[usize]) -> Option<HeapPlan> {
+    let n = act.len();
     let mut clock_of: Vec<Option<Clock>> = vec![None; n];
     let mut never = vec![false; n];
-    let mut event_driven = 0usize;
-    for i in 0..n {
-        if !skip[i] {
-            continue;
-        }
-        match &act[i] {
+    for (i, a) in act.iter().enumerate() {
+        match a {
             Act::Always => {}
-            Act::Never => {
-                never[i] = true;
-                event_driven += 1;
-            }
-            Act::On(c) => {
-                if c.is_never_active() {
-                    never[i] = true;
-                } else {
-                    clock_of[i] = Some(c.clone());
-                }
-                event_driven += 1;
-            }
-        }
-    }
-    if event_driven == 0 {
-        return None;
-    }
-
-    let mut level_of = vec![0usize; n];
-    for (li, level) in schedule.levels.iter().enumerate() {
-        for &i in level {
-            level_of[i] = li;
+            Act::On(c) if !c.is_never_active() => clock_of[i] = Some(c.clone()),
+            Act::Never | Act::On(_) => never[i] = true,
         }
     }
     let is_base = |i: usize| !never[i] && clock_of[i].is_none();
-    let base_levels: Vec<Vec<usize>> = schedule
-        .levels
-        .iter()
-        .map(|lvl| lvl.iter().copied().filter(|&i| is_base(i)).collect())
-        .collect();
-    let base_commits: Vec<usize> = commit_nodes
-        .iter()
-        .copied()
-        .filter(|&i| is_base(i))
-        .collect();
-    let base_levels_compact: Vec<Vec<usize>> = base_levels
-        .iter()
-        .filter(|l| !l.is_empty())
-        .cloned()
-        .collect();
-    let any_base = !base_levels_compact.is_empty();
+    if (0..n).all(is_base) {
+        return None;
+    }
+
+    let mut rank = vec![0usize; n];
+    for (r, &i) in order.iter().enumerate() {
+        rank[i] = r;
+    }
     let mut needs_commit = vec![false; n];
     for &i in commit_nodes {
         needs_commit[i] = true;
     }
     Some(HeapPlan {
+        base_nodes: order.iter().copied().filter(|&i| is_base(i)).collect(),
+        base_commits: commit_nodes
+            .iter()
+            .copied()
+            .filter(|&i| is_base(i))
+            .collect(),
         clock_of,
         never,
-        level_of,
+        rank,
         needs_commit,
-        base_levels,
-        base_levels_compact,
-        base_commits,
-        any_base,
     })
 }

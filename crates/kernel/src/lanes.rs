@@ -19,10 +19,7 @@
 //!   Blocks opt in via [`Block::lane_kernel`]; nodes without a kernel fall
 //!   back to per-lane replicas.
 //! * The lane loops are written as tight scalar loops over the bit columns
-//!   so the compiler can auto-vectorize them. The optional `simd` cargo
-//!   feature switches the hot `f64` loops to explicitly 8-wide chunked
-//!   form — the staging point for `std::simd` once it stabilises; default
-//!   builds keep the plain scalar loops.
+//!   so the compiler can auto-vectorize them.
 //!
 //! [`ReadyNetwork::run_batch`]: crate::network::ReadyNetwork::run_batch
 //! [`Block::step_into`]: crate::ops::Block::step_into
@@ -391,27 +388,8 @@ fn all_active(active: &[bool]) -> bool {
 }
 
 /// Applies `f` lane-wise over two `f64` bit columns.
-///
-/// Under the `simd` feature the loop runs in explicitly 8-wide chunks (the
-/// `std::simd` staging shape); the default build leaves vectorization of
-/// the plain loop to the compiler.
 #[inline]
 fn f64_map2(a: &[u64], b: &[u64], out: &mut [u64], f: impl Fn(f64, f64) -> f64) {
-    #[cfg(feature = "simd")]
-    {
-        const W: usize = 8;
-        let n = out.len();
-        let main = n - n % W;
-        for c in (0..main).step_by(W) {
-            for j in 0..W {
-                out[c + j] = f(f64::from_bits(a[c + j]), f64::from_bits(b[c + j])).to_bits();
-            }
-        }
-        for l in main..n {
-            out[l] = f(f64::from_bits(a[l]), f64::from_bits(b[l])).to_bits();
-        }
-    }
-    #[cfg(not(feature = "simd"))]
     for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
         *o = f(f64::from_bits(x), f64::from_bits(y)).to_bits();
     }
@@ -428,21 +406,6 @@ fn f64_cmp2(a: &[u64], b: &[u64], out: &mut [u64], f: impl Fn(f64, f64) -> bool)
 /// Applies `f` lane-wise over one `f64` bit column.
 #[inline]
 fn f64_map1(a: &[u64], out: &mut [u64], f: impl Fn(f64) -> f64) {
-    #[cfg(feature = "simd")]
-    {
-        const W: usize = 8;
-        let n = out.len();
-        let main = n - n % W;
-        for c in (0..main).step_by(W) {
-            for j in 0..W {
-                out[c + j] = f(f64::from_bits(a[c + j])).to_bits();
-            }
-        }
-        for l in main..n {
-            out[l] = f(f64::from_bits(a[l])).to_bits();
-        }
-    }
-    #[cfg(not(feature = "simd"))]
     for (o, &x) in out.iter_mut().zip(a) {
         *o = f(f64::from_bits(x)).to_bits();
     }

@@ -69,7 +69,7 @@ pub mod trace;
 pub mod value;
 pub mod vcd;
 
-pub use causality::{CausalityError, CausalityReport, Schedule};
+pub use causality::{CausalityError, CausalityReport};
 pub use clock::{checked_lcm, Clock};
 pub use coverage::{CoverageLayout, CoverageMap, CoverageSite, CoverageSpace};
 pub use error::KernelError;

@@ -12,9 +12,10 @@
 //! [`ReadyNetwork`]: all node outputs live in one message arena addressed by
 //! precomputed slot indices, each input port's source and instantaneity are
 //! resolved up front, and per-node input scratch buffers are reused across
-//! ticks — the steady-state tick loop performs no heap allocation. The
-//! causality check also levelizes the schedule, which the event engines
-//! thin per tick. The original interpretive loop survives as
+//! ticks — the steady-state tick loop performs no heap allocation. Every
+//! executor steps the causality check's one evaluation order (the event
+//! engines only thin it per tick), so all of them meet a failing block in
+//! the same order. The original interpretive loop survives as
 //! [`ReferenceExecutor`] for differential tests and benchmarks.
 //!
 //! ## Batched execution
@@ -33,7 +34,7 @@
 //! Multi-rate networks declare static clock structure through
 //! [`ClockBehavior`](crate::ops::ClockBehavior). [`Network::prepare`]
 //! compiles it into an event [`Engine`] (see [`crate::event`]): either a
-//! hyperperiod *wheel* — per-phase level/commit lists with provably inert
+//! hyperperiod *wheel* — per-phase node/commit lists with provably inert
 //! nodes removed, plus quiet-phase annotation — or, when the clock lcm
 //! exceeds the wheel caps, a calendar *heap* of per-node firing events.
 //! Both stepping loops (single-run and typed batch) consume
@@ -45,7 +46,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::causality::{self, Schedule};
+use crate::causality;
 use crate::coverage::{CoverageLayout, CoverageMap};
 use crate::error::KernelError;
 use crate::event::{
@@ -325,7 +326,7 @@ impl Network {
         edges
     }
 
-    fn schedule(&self) -> Result<Schedule, KernelError> {
+    fn schedule(&self) -> Result<Vec<usize>, KernelError> {
         let edges = self.instantaneous_edges();
         let names: Vec<String> = self
             .nodes
@@ -333,7 +334,7 @@ impl Network {
             .enumerate()
             .map(|(i, n)| format!("{}#{}", n.block.name(), i))
             .collect();
-        Ok(causality::check_schedule(self.nodes.len(), &edges, |i| {
+        Ok(causality::check(self.nodes.len(), &edges, |i| {
             names[i].clone()
         })?)
     }
@@ -346,7 +347,7 @@ impl Network {
     /// Returns [`KernelError::Causality`] if the network has an
     /// instantaneous loop.
     pub fn prepare(self) -> Result<ReadyNetwork, KernelError> {
-        let schedule = self.schedule()?;
+        let order = self.schedule()?;
         let n = self.nodes.len();
 
         // Arena layout: node i's outputs occupy
@@ -396,7 +397,9 @@ impl Network {
             });
         }
 
-        let commit_nodes: Vec<usize> = (0..n)
+        let commit_nodes: Vec<usize> = order
+            .iter()
+            .copied()
             .filter(|&i| self.nodes[i].block.needs_commit())
             .collect();
 
@@ -450,7 +453,7 @@ impl Network {
                 }
             })
             .collect();
-        let (engine, wheel_rejection) = event::compile(&metas, &schedule, &commit_nodes);
+        let (engine, wheel_rejection) = event::compile(&metas, &order, &commit_nodes);
 
         let mut blocks: Vec<Box<dyn Block + Send + Sync>> = Vec::with_capacity(n);
         for node in self.nodes {
@@ -487,7 +490,7 @@ impl Network {
             out_offset,
             arena: vec![Message::Absent; total_outputs],
             scratch: vec![Message::Absent; total_inputs],
-            schedule,
+            order,
             observed,
             fault_specs: Vec::new(),
             faults: None,
@@ -519,14 +522,14 @@ impl Network {
     ///
     /// Same conditions as [`Network::prepare`].
     pub fn prepare_reference(mut self) -> Result<ReferenceExecutor, KernelError> {
-        let schedule = self.schedule()?;
+        let order = self.schedule()?;
         for node in &mut self.nodes {
             node.block.reset();
             node.outputs.fill(Message::Absent);
         }
         Ok(ReferenceExecutor {
             net: self,
-            order: schedule.order,
+            order,
             faults: None,
             tick: 0,
         })
@@ -592,31 +595,28 @@ fn gather_inputs(
 /// runs (a local cursor) share one implementation.
 fn activation_for<'a>(
     engine: &'a Engine,
-    schedule: &'a Schedule,
+    order: &'a [usize],
     commit_nodes: &'a [usize],
     heap: &'a mut Option<Box<HeapState>>,
     t: Tick,
 ) -> Activation<'a> {
+    let dense = Activation {
+        nodes: order,
+        commits: commit_nodes,
+        clears: &[],
+    };
     match engine {
-        Engine::Dense => Activation {
-            levels: &schedule.levels,
-            commits: commit_nodes,
-            clears: &[],
-        },
+        Engine::Dense => dense,
         Engine::Wheel(g) => match g.phase_of(t) {
-            None => Activation {
-                levels: &schedule.levels,
-                commits: commit_nodes,
-                clears: &[],
-            },
+            None => dense,
             Some(p) => Activation {
-                levels: &g.phase_levels[p],
+                nodes: &g.phase_nodes[p],
                 commits: &g.phase_commits[p],
                 clears: g.clears(t, p),
             },
         },
         Engine::Heap(h) => {
-            let st = heap.get_or_insert_with(|| Box::new(HeapState::new(h)));
+            let st = heap.get_or_insert_default();
             st.prepare(h, t);
             st.activation(h)
         }
@@ -636,11 +636,40 @@ fn quiet_until_for(
     match engine {
         Engine::Dense => t,
         Engine::Wheel(g) => g.quiet_until(t, limit),
-        Engine::Heap(h) => {
-            let st = heap.get_or_insert_with(|| Box::new(HeapState::new(h)));
-            st.quiet_until(h, t, limit)
+        Engine::Heap(h) => heap.get_or_insert_default().quiet_until(h, t, limit),
+    }
+}
+
+/// Emits one trace row per stimulus row of a provably silent stretch, in
+/// which no block steps: the arena-resolved probe columns are constant
+/// (read once through `arena_probe`), only the externally fed ones
+/// (`ext_probe_cols`) vary per row.
+fn emit_quiet_rows(
+    trace: &mut Trace,
+    observed: &mut [Message],
+    probe_slots: &[Slot],
+    ext_probe_cols: &[(usize, usize)],
+    arena_probe: impl Fn(usize) -> Message,
+    rows: &[Vec<Message>],
+) -> Result<(), KernelError> {
+    for (j, &slot) in probe_slots.iter().enumerate() {
+        observed[j] = match slot {
+            // Placeholder; patched per row below.
+            Slot::External(_) => Message::Absent,
+            _ => arena_probe(j),
+        };
+    }
+    if ext_probe_cols.is_empty() {
+        trace.push_row_repeat_indexed(observed, rows.len())?;
+    } else {
+        for row in rows {
+            for &(col, e) in ext_probe_cols {
+                observed[col] = row[e].clone();
+            }
+            trace.push_row_indexed(observed)?;
         }
     }
+    Ok(())
 }
 
 /// A causality-checked network compiled to a flat execution plan.
@@ -659,8 +688,8 @@ pub struct ReadyNetwork {
     name: String,
     blocks: Vec<Box<dyn Block + Send + Sync>>,
     /// Nodes whose blocks need the phase-2 commit pass
-    /// ([`Block::needs_commit`]); commit-free nodes skip the input
-    /// re-gather entirely.
+    /// ([`Block::needs_commit`]), in schedule order; commit-free nodes skip
+    /// the input re-gather entirely.
     commit_nodes: Vec<usize>,
     /// The compiled clock engine (see [`crate::event`]); `Engine::Dense`
     /// runs the full schedule every tick.
@@ -688,7 +717,8 @@ pub struct ReadyNetwork {
     arena: Vec<Message>,
     /// Reused input gather buffer, laid out like `slots`.
     scratch: Vec<Message>,
-    schedule: Schedule,
+    /// The causality check's evaluation order, stepped by every engine.
+    order: Vec<usize>,
     /// Reused probe output row.
     observed: Vec<Message>,
     /// Installed fault specs — the source of truth from which per-run
@@ -726,13 +756,7 @@ impl ReadyNetwork {
 
     /// The evaluation schedule (node indices in execution order).
     pub fn schedule(&self) -> &[usize] {
-        &self.schedule.order
-    }
-
-    /// The topological levels of the schedule: nodes within one level have
-    /// no instantaneous dependencies on each other.
-    pub fn levels(&self) -> &[Vec<usize>] {
-        &self.schedule.levels
+        &self.order
     }
 
     /// Probed signal names, in declaration order — the column layout of
@@ -1016,7 +1040,7 @@ impl ReadyNetwork {
         // can be borrowed while stepping mutates disjoint fields; a `?`
         // early-out simply drops it, and the next tick rebuilds.
         let mut heap = self.heap_state.take();
-        let act = activation_for(&engine, &self.schedule, &self.commit_nodes, &mut heap, t);
+        let act = activation_for(&engine, &self.order, &self.commit_nodes, &mut heap, t);
 
         // Clear the outputs of nodes that just went inert; the skip then
         // keeps them absent until they reactivate.
@@ -1024,25 +1048,22 @@ impl ReadyNetwork {
             self.arena[self.out_offset[i]..self.out_offset[i + 1]].fill(Message::Absent);
         }
 
-        // Phase 1: step level by level. Within a level no block reads
-        // another's output instantaneously.
-        for level in act.levels {
-            for &i in level {
-                gather_inputs(
-                    &mut self.scratch,
-                    &self.slots,
-                    &self.inst_bits,
-                    self.slot_offset[i]..self.slot_offset[i + 1],
-                    &self.arena,
-                    externals,
-                );
-                let inputs = &self.scratch[self.slot_offset[i]..self.slot_offset[i + 1]];
-                let out = &mut self.arena[self.out_offset[i]..self.out_offset[i + 1]];
-                self.blocks[i].step_into(t, inputs, out)?;
-                if let Some(fp) = &mut self.faults {
-                    for (port, st) in &mut fp.node_faults[i] {
-                        st.apply(t, &mut self.arena[self.out_offset[i] + *port]);
-                    }
+        // Phase 1: step in schedule order.
+        for &i in act.nodes {
+            gather_inputs(
+                &mut self.scratch,
+                &self.slots,
+                &self.inst_bits,
+                self.slot_offset[i]..self.slot_offset[i + 1],
+                &self.arena,
+                externals,
+            );
+            let inputs = &self.scratch[self.slot_offset[i]..self.slot_offset[i + 1]];
+            let out = &mut self.arena[self.out_offset[i]..self.out_offset[i + 1]];
+            self.blocks[i].step_into(t, inputs, out)?;
+            if let Some(fp) = &mut self.faults {
+                for (port, st) in &mut fp.node_faults[i] {
+                    st.apply(t, &mut self.arena[self.out_offset[i] + *port]);
                 }
             }
         }
@@ -1140,7 +1161,7 @@ impl ReadyNetwork {
             // advanced, so a faulted run steps every tick.
             if self.faults.is_none() {
                 let limit = self.tick + (stimulus.len() - i) as Tick;
-                let end = self.quiet_horizon(limit);
+                let end = quiet_until_for(&self.engine, &mut self.heap_state, self.tick, limit);
                 if end > self.tick {
                     let skip = (end - self.tick) as usize;
                     self.push_quiet_rows(&mut trace, &stimulus[i..i + skip])?;
@@ -1173,38 +1194,15 @@ impl ReadyNetwork {
         )
     }
 
-    /// Exclusive end of the provably silent stretch starting at the current
-    /// tick, clamped to `limit`; equals the current tick when it may fire.
-    fn quiet_horizon(&mut self, limit: Tick) -> Tick {
-        let t = self.tick;
-        match &self.engine {
-            Engine::Dense => t,
-            Engine::Wheel(g) => g.quiet_until(t, limit),
-            Engine::Heap(h) => {
-                let st = self
-                    .heap_state
-                    .get_or_insert_with(|| Box::new(HeapState::new(h)));
-                st.quiet_until(h, t, limit)
-            }
-        }
-    }
-
     /// Emits one trace row per stimulus row for a silent stretch without
-    /// stepping any block: arena-resolved probe columns are constant, only
-    /// externally-fed probes vary per tick. Arity errors are reported at
-    /// the exact offending tick, with all earlier rows already emitted.
+    /// stepping any block (see [`emit_quiet_rows`]). Arity errors are
+    /// reported at the exact offending tick, with all earlier rows already
+    /// emitted.
     fn push_quiet_rows(
         &mut self,
         trace: &mut Trace,
         rows: &[Vec<Message>],
     ) -> Result<(), KernelError> {
-        for (j, &slot) in self.probe_slots.iter().enumerate() {
-            self.observed[j] = match slot {
-                // Placeholder; patched per row below.
-                Slot::External(_) => Message::Absent,
-                s => resolve_slot(s, &self.arena, &[]),
-            };
-        }
         let mut ok = 0usize;
         let mut bad: Option<KernelError> = None;
         for (j, row) in rows.iter().enumerate() {
@@ -1218,16 +1216,14 @@ impl ReadyNetwork {
             }
             ok += 1;
         }
-        if self.ext_probe_cols.is_empty() {
-            trace.push_row_repeat_indexed(&self.observed, ok)?;
-        } else {
-            for row in &rows[..ok] {
-                for &(col, e) in &self.ext_probe_cols {
-                    self.observed[col] = row[e].clone();
-                }
-                trace.push_row_indexed(&self.observed)?;
-            }
-        }
+        emit_quiet_rows(
+            trace,
+            &mut self.observed,
+            &self.probe_slots,
+            &self.ext_probe_cols,
+            |j| resolve_slot(self.probe_slots[j], &self.arena, &[]),
+            &rows[..ok],
+        )?;
         self.tick += ok as Tick;
         match bad {
             Some(e) => Err(e),
@@ -1469,23 +1465,14 @@ impl ReadyNetwork {
                         if upto <= t {
                             continue;
                         }
-                        for (j, &slot) in self.probe_slots.iter().enumerate() {
-                            observed[j] = match slot {
-                                // Placeholder; patched per row below.
-                                Slot::External(_) => Message::Absent,
-                                _ => stepper.probe(j, &[]).get(l),
-                            };
-                        }
-                        if self.ext_probe_cols.is_empty() {
-                            traces[l].push_row_repeat_indexed(&observed, upto - t)?;
-                        } else {
-                            for row in &stimuli[l][t..upto] {
-                                for &(col, e) in &self.ext_probe_cols {
-                                    observed[col] = row[e].clone();
-                                }
-                                traces[l].push_row_indexed(&observed)?;
-                            }
-                        }
+                        emit_quiet_rows(
+                            &mut traces[l],
+                            &mut observed,
+                            &self.probe_slots,
+                            &self.ext_probe_cols,
+                            |j| stepper.probe(j, &[]).get(l),
+                            &stimuli[l][t..upto],
+                        )?;
                     }
                     t = end;
                     continue;
@@ -1594,7 +1581,7 @@ impl Clone for ReadyNetwork {
             out_offset: self.out_offset.clone(),
             arena: self.arena.clone(),
             scratch: self.scratch.clone(),
-            schedule: self.schedule.clone(),
+            order: self.order.clone(),
             observed: self.observed.clone(),
             fault_specs: self.fault_specs.clone(),
             faults: self.faults.clone(),
@@ -2110,7 +2097,7 @@ mod tests {
         );
     }
 
-    /// A diamond with a delayed feedback edge: exercises levels, delayed
+    /// A diamond with a delayed feedback edge: exercises fan-out/fan-in, delayed
     /// inputs, open ports, and external probes at once.
     fn diamond() -> Network {
         let mut net = Network::new("diamond");
@@ -2147,14 +2134,6 @@ mod tests {
         let row = ready.step_tick_observed(&[Message::present(3i64)]).unwrap();
         assert_eq!(row[0], Message::present(3i64)); // probed input
         assert_eq!(row[1], Message::present(3i64 * 2 + 3)); // 2x + (x - 0)
-    }
-
-    #[test]
-    fn levels_cover_all_nodes_exactly_once() {
-        let ready = diamond().prepare().unwrap();
-        let mut seen: Vec<usize> = ready.levels().iter().flatten().copied().collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..ready.schedule().len()).collect::<Vec<_>>());
     }
 
     #[test]

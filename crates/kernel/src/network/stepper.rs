@@ -302,99 +302,96 @@ impl<N: Borrow<ReadyNetwork>> LaneStepper<N> {
         let k = *k;
         assert!(inputs.len() >= net.n_inputs, "one column per input");
         mask.copy_from_slice(active);
-        let act = activation_for(engine, &net.schedule, &net.commit_nodes, heap, t);
+        let act = activation_for(engine, &net.order, &net.commit_nodes, heap, t);
 
         // Clear all lanes of nodes that just went inert.
         for &i in act.clears {
             arena.clear_cells(net.out_offset[i]..net.out_offset[i + 1]);
         }
 
-        // Phase 1: step level by level. A vectorized node steps all lanes
-        // in one kernel call over borrowed columns; a replica node decodes
-        // per lane into `Message` scratch.
-        for level in act.levels {
-            for &i in level {
-                let (lo, hi) = (net.slot_offset[i], net.slot_offset[i + 1]);
-                let ia = hi - lo;
-                let before = failures.len();
-                if let Some(kern) = kernels[i].as_mut() {
-                    let mut cols = recycle(std::mem::take(ports));
-                    cols.extend((lo..hi).map(|flat| {
-                        if net.inst(flat) {
-                            column(net.slots[flat], arena, inputs, absent)
+        // Phase 1: step in schedule order. A vectorized node steps all
+        // lanes in one kernel call over borrowed columns; a replica node
+        // decodes per lane into `Message` scratch.
+        for &i in act.nodes {
+            let (lo, hi) = (net.slot_offset[i], net.slot_offset[i + 1]);
+            let ia = hi - lo;
+            let before = failures.len();
+            if let Some(kern) = kernels[i].as_mut() {
+                let mut cols = recycle(std::mem::take(ports));
+                cols.extend((lo..hi).map(|flat| {
+                    if net.inst(flat) {
+                        column(net.slots[flat], arena, inputs, absent)
+                    } else {
+                        absent.slice(0)
+                    }
+                }));
+                let stepped = kern.step_lanes(t, &cols, &mut out_buf.slice_mut(0), mask);
+                if let Err(err) = stepped {
+                    if !kern.take_lane_failures(failures) {
+                        // A stateless kernel: replay its lanes on a
+                        // fresh replica to attribute the error to each
+                        // failing lane. The replica's outputs stand in
+                        // for the kernel's on the surviving lanes.
+                        let mut replica = net.blocks[i].clone_block();
+                        replica.reset();
+                        let mut out = out_buf.slice_mut(0);
+                        for l in (0..k).filter(|&l| mask[l]) {
+                            for (m, col) in in_msgs.iter_mut().zip(&cols) {
+                                *m = col.get(l);
+                            }
+                            match replica.step_into(t, &in_msgs[..ia], &mut out_msgs[..1]) {
+                                Ok(()) => out.set(l, &out_msgs[0]),
+                                Err(error) => failures.push(LaneFailure { lane: l, error }),
+                            }
+                        }
+                        if failures.len() == before {
+                            // The kernel failed where no lane does:
+                            // surface its error rather than hide it.
+                            let lane = mask.iter().position(|&a| a).unwrap_or(0);
+                            failures.push(LaneFailure { lane, error: err });
+                        }
+                    }
+                }
+                *ports = recycle(cols);
+                arena.write_cell(net.out_offset[i], out_buf);
+            } else {
+                let (out_lo, oa) = (net.out_offset[i], net.out_offset[i + 1] - net.out_offset[i]);
+                for l in 0..k {
+                    if !mask[l] {
+                        continue;
+                    }
+                    for (m, flat) in in_msgs.iter_mut().zip(lo..hi) {
+                        *m = if net.inst(flat) {
+                            column(net.slots[flat], arena, inputs, absent).get(l)
                         } else {
-                            absent.slice(0)
-                        }
-                    }));
-                    let stepped = kern.step_lanes(t, &cols, &mut out_buf.slice_mut(0), mask);
-                    if let Err(err) = stepped {
-                        if !kern.take_lane_failures(failures) {
-                            // A stateless kernel: replay its lanes on a
-                            // fresh replica to attribute the error to each
-                            // failing lane. The replica's outputs stand in
-                            // for the kernel's on the surviving lanes.
-                            let mut replica = net.blocks[i].clone_block();
-                            replica.reset();
-                            let mut out = out_buf.slice_mut(0);
-                            for l in (0..k).filter(|&l| mask[l]) {
-                                for (m, col) in in_msgs.iter_mut().zip(&cols) {
-                                    *m = col.get(l);
-                                }
-                                match replica.step_into(t, &in_msgs[..ia], &mut out_msgs[..1]) {
-                                    Ok(()) => out.set(l, &out_msgs[0]),
-                                    Err(error) => failures.push(LaneFailure { lane: l, error }),
-                                }
-                            }
-                            if failures.len() == before {
-                                // The kernel failed where no lane does:
-                                // surface its error rather than hide it.
-                                let lane = mask.iter().position(|&a| a).unwrap_or(0);
-                                failures.push(LaneFailure { lane, error: err });
-                            }
-                        }
+                            Message::Absent
+                        };
                     }
-                    *ports = recycle(cols);
-                    arena.write_cell(net.out_offset[i], out_buf);
-                } else {
-                    let (out_lo, oa) =
-                        (net.out_offset[i], net.out_offset[i + 1] - net.out_offset[i]);
-                    for l in 0..k {
-                        if !mask[l] {
-                            continue;
-                        }
-                        for (m, flat) in in_msgs.iter_mut().zip(lo..hi) {
-                            *m = if net.inst(flat) {
-                                column(net.slots[flat], arena, inputs, absent).get(l)
-                            } else {
-                                Message::Absent
-                            };
-                        }
-                        match replicas[i][l].step_into(t, &in_msgs[..ia], &mut out_msgs[..oa]) {
-                            Ok(()) => {
-                                for (p, m) in out_msgs[..oa].iter().enumerate() {
-                                    arena.set(out_lo + p, l, m);
-                                }
+                    match replicas[i][l].step_into(t, &in_msgs[..ia], &mut out_msgs[..oa]) {
+                        Ok(()) => {
+                            for (p, m) in out_msgs[..oa].iter().enumerate() {
+                                arena.set(out_lo + p, l, m);
                             }
-                            Err(error) => failures.push(LaneFailure { lane: l, error }),
                         }
+                        Err(error) => failures.push(LaneFailure { lane: l, error }),
                     }
                 }
-                for f in &failures[before..] {
-                    mask[f.lane] = false;
-                }
-                // Faults land right after the node's outputs commit,
-                // decoded through the columns per faulted (port, lane).
-                if let Some(plans) = faults.as_deref_mut() {
-                    for (l, plan) in plans.iter_mut().enumerate() {
-                        if !mask[l] {
-                            continue;
-                        }
-                        for (port, st) in &mut plan.node_faults[i] {
-                            let cell = net.out_offset[i] + *port;
-                            let mut m = arena.decode(cell, l);
-                            st.apply(t, &mut m);
-                            arena.set(cell, l, &m);
-                        }
+            }
+            for f in &failures[before..] {
+                mask[f.lane] = false;
+            }
+            // Faults land right after the node's outputs commit,
+            // decoded through the columns per faulted (port, lane).
+            if let Some(plans) = faults.as_deref_mut() {
+                for (l, plan) in plans.iter_mut().enumerate() {
+                    if !mask[l] {
+                        continue;
+                    }
+                    for (port, st) in &mut plan.node_faults[i] {
+                        let cell = net.out_offset[i] + *port;
+                        let mut m = arena.decode(cell, l);
+                        st.apply(t, &mut m);
+                        arena.set(cell, l, &m);
                     }
                 }
             }

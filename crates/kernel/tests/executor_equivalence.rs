@@ -9,6 +9,9 @@
 
 mod common;
 
+use automode_kernel::network::Network;
+use automode_kernel::ops::{Const, Lift1, UnOp};
+use automode_kernel::{Message, Value};
 use common::{build, stimulus, Spec};
 use proptest::prelude::*;
 
@@ -45,5 +48,43 @@ proptest! {
         ready.reset();
         let t2 = ready.run(&stim).unwrap();
         prop_assert_eq!(t1, t2);
+    }
+}
+
+/// Two independent blocks that both fail in the first tick: node 1 negates
+/// a Boolean constant (one instantaneous hop from node 0), node 2 applies
+/// `not` to a Float input (no predecessor). Every executor steps the
+/// causality check's lowest-index-first order 0, 1, 2, so each one stops
+/// at node 1's error.
+#[test]
+fn every_executor_reports_the_first_failing_node_in_schedule_order() {
+    let net = || {
+        let mut net = Network::new("two_failures");
+        let x = net.add_input("x");
+        let flag = net.add_block(Const::new(true));
+        let neg = net.add_block(Lift1::new(UnOp::Neg));
+        let not = net.add_block(Lift1::new(UnOp::Not));
+        net.connect(flag.output(0), neg.input(0)).unwrap();
+        net.connect_input(x, not.input(0)).unwrap();
+        net.expose_output("neg", neg.output(0)).unwrap();
+        net.expose_output("not", not.output(0)).unwrap();
+        net
+    };
+    let stim = vec![vec![Message::present(Value::Float(1.5))]; 3];
+    let reference = net().run_reference(&stim).unwrap_err();
+    assert!(
+        reference.to_string().contains("lift(-)"),
+        "reference stopped at {reference}"
+    );
+    assert_eq!(net().run(&stim).unwrap_err(), reference);
+    let lanes = vec![stim.clone(); 3];
+    for vectorize in [true, false] {
+        let mut ready = net().prepare().unwrap();
+        ready.set_batch_vectorization(vectorize);
+        assert_eq!(
+            ready.run_batch(&lanes).unwrap_err(),
+            reference,
+            "vectorization {vectorize}"
+        );
     }
 }
