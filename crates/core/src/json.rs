@@ -5,7 +5,7 @@
 //! — no serde. This module provides the three primitives those layers
 //! share:
 //!
-//! * [`JsonWriter`] — an append-only JSON emitter over a `String`. The
+//! * [`JsonWriter`] — an append-only JSON emitter over a byte buffer. The
 //!   caller drives structure (`begin_object`/`field`/`end_object` ...);
 //!   the writer handles comma placement and string escaping. No
 //!   intermediate DOM is built, so encoding a result is one pass over the
@@ -20,7 +20,9 @@
 //!   entirely.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::io::Write as _;
+
+use automode_kernel::trace::{escape_json_into, write_u64};
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -41,33 +43,16 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Escapes `s` into `out` as a JSON string body (no surrounding quotes).
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Serializes one `f64` the way JSON requires: finite numbers print
 /// round-trippably, non-finite values (which JSON cannot represent) print
 /// as `null`.
-fn push_f64(out: &mut String, v: f64) {
+fn push_f64(out: &mut Vec<u8>, v: f64) {
     if v.is_finite() {
         // `{:?}` is Rust's shortest round-trip float form and always
         // contains a `.` or exponent, so readers parse it back as f64.
         let _ = write!(out, "{v:?}");
     } else {
-        out.push_str("null");
+        out.extend_from_slice(b"null");
     }
 }
 
@@ -91,7 +76,9 @@ fn push_f64(out: &mut String, v: f64) {
 /// ```
 #[derive(Debug, Default)]
 pub struct JsonWriter {
-    out: String,
+    /// UTF-8 text; bytes, so escaped runs and numbers append without
+    /// per-push checks.
+    out: Vec<u8>,
     /// Per-open-container flag: has this container already emitted an
     /// element (so the next one needs a leading comma)?
     has_elem: Vec<bool>,
@@ -106,7 +93,7 @@ impl JsonWriter {
     /// A fresh writer with `cap` bytes preallocated.
     pub fn with_capacity(cap: usize) -> JsonWriter {
         JsonWriter {
-            out: String::with_capacity(cap),
+            out: Vec::with_capacity(cap),
             has_elem: Vec::new(),
         }
     }
@@ -114,7 +101,7 @@ impl JsonWriter {
     fn comma(&mut self) {
         if let Some(h) = self.has_elem.last_mut() {
             if *h {
-                self.out.push(',');
+                self.out.push(b',');
             }
             *h = true;
         }
@@ -123,7 +110,7 @@ impl JsonWriter {
     /// Starts an object value (`{`).
     pub fn begin_object(&mut self) -> &mut Self {
         self.comma();
-        self.out.push('{');
+        self.out.push(b'{');
         self.has_elem.push(false);
         self
     }
@@ -131,14 +118,14 @@ impl JsonWriter {
     /// Closes the innermost object (`}`).
     pub fn end_object(&mut self) -> &mut Self {
         self.has_elem.pop();
-        self.out.push('}');
+        self.out.push(b'}');
         self
     }
 
     /// Starts an array value (`[`).
     pub fn begin_array(&mut self) -> &mut Self {
         self.comma();
-        self.out.push('[');
+        self.out.push(b'[');
         self.has_elem.push(false);
         self
     }
@@ -146,16 +133,16 @@ impl JsonWriter {
     /// Closes the innermost array (`]`).
     pub fn end_array(&mut self) -> &mut Self {
         self.has_elem.pop();
-        self.out.push(']');
+        self.out.push(b']');
         self
     }
 
     /// Emits an object key; the next emitted value becomes its value.
     pub fn field(&mut self, name: &str) -> &mut Self {
         self.comma();
-        self.out.push('"');
-        escape_into(&mut self.out, name);
-        self.out.push_str("\":");
+        self.out.push(b'"');
+        escape_json_into(&mut self.out, name);
+        self.out.extend_from_slice(b"\":");
         // The value after a key must not get its own comma.
         if let Some(h) = self.has_elem.last_mut() {
             *h = false;
@@ -165,10 +152,18 @@ impl JsonWriter {
 
     /// Emits a string value.
     pub fn string(&mut self, s: &str) -> &mut Self {
+        self.string_with(|out| escape_json_into(out, s))
+    }
+
+    /// Emits a string value whose body `body` appends straight into the
+    /// buffer, already JSON-escaped (as by [`escape_json_into`]) and as
+    /// UTF-8 — so a large body, such as a trace's canonical text, is
+    /// written once with no intermediate `String`.
+    pub fn string_with(&mut self, body: impl FnOnce(&mut Vec<u8>)) -> &mut Self {
         self.comma();
-        self.out.push('"');
-        escape_into(&mut self.out, s);
-        self.out.push('"');
+        self.out.push(b'"');
+        body(&mut self.out);
+        self.out.push(b'"');
         self
     }
 
@@ -187,21 +182,22 @@ impl JsonWriter {
     /// Emits an unsigned integer value exactly (no f64 rounding).
     pub fn uint(&mut self, v: u64) -> &mut Self {
         self.comma();
-        let _ = write!(self.out, "{v}");
+        write_u64(&mut self.out, v);
         self
     }
 
     /// Emits a boolean value.
     pub fn boolean(&mut self, v: bool) -> &mut Self {
         self.comma();
-        self.out.push_str(if v { "true" } else { "false" });
+        self.out
+            .extend_from_slice(if v { b"true" } else { b"false" });
         self
     }
 
     /// Emits a `null` value.
     pub fn null(&mut self) -> &mut Self {
         self.comma();
-        self.out.push_str("null");
+        self.out.extend_from_slice(b"null");
         self
     }
 
@@ -209,18 +205,17 @@ impl JsonWriter {
     /// that `json` is well-formed.
     pub fn raw(&mut self, json: &str) -> &mut Self {
         self.comma();
-        self.out.push_str(json);
+        self.out.extend_from_slice(json.as_bytes());
         self
     }
 
-    /// Consumes the writer, returning the JSON text.
+    /// Consumes the writer, returning the JSON text. A [`string_with`]
+    /// body that broke its UTF-8 promise shows as U+FFFD.
+    ///
+    /// [`string_with`]: JsonWriter::string_with
     pub fn finish(self) -> String {
-        self.out
-    }
-
-    /// The buffer so far (for incremental streaming writers).
-    pub fn as_str(&self) -> &str {
-        &self.out
+        String::from_utf8(self.out)
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
     }
 }
 

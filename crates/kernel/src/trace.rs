@@ -14,6 +14,10 @@ use crate::error::KernelError;
 use crate::stream::Stream;
 use crate::value::Message;
 
+mod text;
+
+pub use text::{escape_json_into, write_float, write_u64, TextMode};
+
 /// A recorded run: named signals, each with one message per tick.
 ///
 /// Storage is columnar: one [`Stream`] per declared signal, in declaration
@@ -154,24 +158,22 @@ impl Trace {
         self.columns.iter().map(Stream::len).max().unwrap_or(0)
     }
 
+    /// Signal names with their histories, in declaration order.
+    pub fn signals(&self) -> impl Iterator<Item = (&str, &Stream)> {
+        self.names.iter().map(String::as_str).zip(&self.columns)
+    }
+
     /// Serializes the trace to a stable, line-oriented text form for golden
     /// snapshot files: a versioned header, then each signal in declaration
     /// order with one `  {tick} {message}` line per tick (absence prints as
     /// `-`). The format is deterministic — identical traces produce
     /// byte-identical text — so snapshot tests can compare with `==`.
+    ///
+    /// A wrapper over [`Trace::write_canonical`] in [`TextMode::Plain`].
     pub fn to_canonical_text(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(out, "automode-trace v1");
-        let _ = writeln!(out, "ticks {}", self.tick_count());
-        let _ = writeln!(out, "signals {}", self.signal_count());
-        for (name, col) in self.names.iter().zip(&self.columns) {
-            let _ = writeln!(out, "signal {name}");
-            for (t, m) in col.iter().enumerate() {
-                let _ = writeln!(out, "  {t} {m}");
-            }
-        }
-        out
+        let mut out = Vec::new();
+        self.write_canonical(&mut out, TextMode::Plain);
+        String::from_utf8(out).expect("the canonical text writer appends only UTF-8")
     }
 
     /// Restricts the trace to the named signals (missing names are skipped).

@@ -378,13 +378,17 @@ fn service_error_response(stream: &mut TcpStream, e: &ServiceError) {
     );
 }
 
-/// Writes one ndjson line as one HTTP chunk.
-fn write_chunk(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
+/// Writes one ndjson line as one HTTP chunk with one `write_all`: the
+/// size line, the line and its `\n\r\n` tail are framed in `buf`, which
+/// the caller reuses for every chunk of a response. The socket is
+/// unbuffered, so each line still leaves as soon as it is written.
+fn write_chunk(stream: &mut TcpStream, buf: &mut Vec<u8>, line: &str) -> std::io::Result<()> {
+    buf.clear();
     // line + newline, framed as a single chunk.
-    write!(stream, "{:x}\r\n", line.len() + 1)?;
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n\r\n")?;
-    Ok(())
+    write!(buf, "{:x}\r\n", line.len() + 1)?;
+    buf.extend_from_slice(line.as_bytes());
+    buf.extend_from_slice(b"\n\r\n");
+    stream.write_all(buf)
 }
 
 // ---------------------------------------------------------------------------
@@ -460,7 +464,10 @@ fn handle_sweep(shared: &Arc<Shared>, stream: &mut TcpStream, body: &str) {
     w.end_object();
     let head =
         "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n";
-    if stream.write_all(head.as_bytes()).is_err() || write_chunk(stream, &w.finish()).is_err() {
+    let mut chunk = Vec::new();
+    if stream.write_all(head.as_bytes()).is_err()
+        || write_chunk(stream, &mut chunk, &w.finish()).is_err()
+    {
         // The client left before any shard ran; the sweep still counts
         // (as failed).
         shared.sweeps.fetch_add(1, Relaxed);
@@ -473,7 +480,7 @@ fn handle_sweep(shared: &Arc<Shared>, stream: &mut TcpStream, body: &str) {
         queue_cap: shared.cfg.queue_cap,
     };
     let result = execute(&spec, &sim, &shared.pool, opts, &mut |line| {
-        write_chunk(stream, line)
+        write_chunk(stream, &mut chunk, line)
     });
     shared.sweeps.fetch_add(1, Relaxed);
     match result {
@@ -506,7 +513,7 @@ fn handle_sweep(shared: &Arc<Shared>, stream: &mut TcpStream, body: &str) {
             w.field("elapsed_us").uint(elapsed_us);
             w.end_object();
             w.end_object();
-            if write_chunk(stream, &w.finish()).is_ok() {
+            if write_chunk(stream, &mut chunk, &w.finish()).is_ok() {
                 let _ = stream.write_all(b"0\r\n\r\n");
                 let _ = stream.flush();
             }
@@ -554,8 +561,9 @@ fn handle_explore(shared: &Arc<Shared>, stream: &mut TcpStream, body: &str) {
         shared.failed_explores.fetch_add(1, Relaxed);
         return;
     }
+    let mut chunk = Vec::new();
     let result = execute_explore(&spec, &sim, key, hit, &shared.pool, started, &mut |line| {
-        write_chunk(stream, line)
+        write_chunk(stream, &mut chunk, line)
     });
     shared.explores.fetch_add(1, Relaxed);
     match result {

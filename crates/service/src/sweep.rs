@@ -636,7 +636,8 @@ fn run_shard(
             let vcd_text = spec.vcd.then(|| {
                 let mut out = Vec::new();
                 let _ = vcd::write_vcd(&run.trace, "sweep", &mut out);
-                String::from_utf8_lossy(&out).into_owned()
+                String::from_utf8(out)
+                    .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
             });
             scenario_line(i, run, spec.trace, report.as_ref(), vcd_text.as_deref())
         })
@@ -650,6 +651,10 @@ fn run_shard(
 }
 
 /// Encodes one successful scenario as `{"scenario": i, "result": {...}}`.
+///
+/// The line is sized to its content: the trace writer reserves a bound of
+/// its text up front, so the buffer grows once rather than by doubling,
+/// and the unused tail of that bound is handed back at the end.
 pub fn scenario_line(
     i: usize,
     run: &SimRun,
@@ -663,7 +668,9 @@ pub fn scenario_line(
     w.field("result");
     sim_run_to_json(&mut w, run, trace, robustness, vcd);
     w.end_object();
-    w.finish()
+    let mut line = w.finish();
+    line.shrink_to_fit();
+    line
 }
 
 /// Encodes one failed scenario as `{"scenario": i, "error": "..."}`.

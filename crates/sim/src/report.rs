@@ -11,6 +11,7 @@
 //! [`CompiledSim`](crate::CompiledSim) run encoded the same way.
 
 use automode_core::json::JsonWriter;
+use automode_kernel::trace::TextMode;
 use automode_kernel::{PlanInfo, RobustnessReport};
 
 use crate::compiled::SimStats;
@@ -78,8 +79,7 @@ pub fn run_metrics_to_json(w: &mut JsonWriter, run: &SimRun) {
     w.begin_object();
     w.field("ticks").uint(run.ticks as u64);
     w.field("signals").begin_array();
-    for name in run.trace.signal_names() {
-        let stream = run.trace.signal(name).expect("named signal exists");
+    for (name, stream) in run.trace.signals() {
         w.begin_object();
         w.field("name").string(name);
         w.field("present").uint(stream.present_count() as u64);
@@ -91,7 +91,8 @@ pub fn run_metrics_to_json(w: &mut JsonWriter, run: &SimRun) {
 
 /// Encodes one full scenario result into `w` as one object value:
 /// summary metrics, optionally the canonical trace text, optionally a
-/// [`RobustnessReport`], optionally a VCD dump.
+/// [`RobustnessReport`], optionally a VCD dump. The trace text is written
+/// already escaped straight from the trace columns into `w`'s buffer.
 pub fn sim_run_to_json(
     w: &mut JsonWriter,
     run: &SimRun,
@@ -103,7 +104,8 @@ pub fn sim_run_to_json(
     w.field("metrics");
     run_metrics_to_json(w, run);
     if trace {
-        w.field("trace").string(&run.trace.to_canonical_text());
+        w.field("trace")
+            .string_with(|out| run.trace.write_canonical(out, TextMode::Json));
     }
     if let Some(r) = robustness {
         w.field("robustness");
