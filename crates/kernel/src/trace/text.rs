@@ -464,6 +464,30 @@ mod tests {
     use crate::value::Fixed;
 
     #[test]
+    fn integers_print_as_display_does() {
+        for n in [
+            0,
+            9,
+            10,
+            99,
+            100,
+            99_999_999,
+            100_000_000,
+            1 << 53,
+            u64::MAX,
+        ] {
+            let mut out = Vec::new();
+            write_u64(&mut out, n);
+            assert_eq!(out, n.to_string().as_bytes());
+        }
+        for n in [i64::MIN, -1, i64::MAX] {
+            let mut out = Vec::new();
+            write_i64(&mut out, n);
+            assert_eq!(out, n.to_string().as_bytes());
+        }
+    }
+
+    #[test]
     fn the_cell_bound_covers_the_longest_cells() {
         let cells = [
             Value::Int(i64::MIN),

@@ -95,12 +95,8 @@ static ABSENT: Message = Message::Absent;
 ///
 /// Propagates I/O errors from `out`.
 pub fn write_vcd<W: io::Write>(trace: &Trace, scope: &str, out: &mut W) -> io::Result<()> {
-    let names: Vec<&str> = trace.signal_names().collect();
     // Resolve each signal's column and id once, outside the tick loop.
-    let streams: Vec<&Stream> = names
-        .iter()
-        .map(|n| trace.signal(n).expect("name came from the trace"))
-        .collect();
+    let (names, streams): (Vec<&str>, Vec<&Stream>) = trace.signals().unzip();
     let kinds: Vec<VarKind> = streams.iter().map(|s| kind_of(s)).collect();
     let ids: Vec<String> = (0..names.len()).map(id_code).collect();
 
