@@ -1324,15 +1324,7 @@ impl ReadyNetwork {
             });
         }
         for lane in stimuli {
-            for (t, row) in lane.iter().enumerate() {
-                if row.len() != self.n_inputs {
-                    return Err(KernelError::StimulusArity {
-                        expected: self.n_inputs,
-                        found: row.len(),
-                        tick: t as Tick,
-                    });
-                }
-            }
+            self.check_arity(lane)?;
         }
         // `None` when nothing is faulted: the nominal path pays no
         // per-tick fault cost.
@@ -1357,6 +1349,61 @@ impl ReadyNetwork {
         }
     }
 
+    /// Rejects the first stimulus row whose width is not the input count.
+    fn check_arity(&self, stimulus: &[Vec<Message>]) -> Result<(), KernelError> {
+        match stimulus.iter().position(|row| row.len() != self.n_inputs) {
+            Some(t) => Err(KernelError::StimulusArity {
+                expected: self.n_inputs,
+                found: stimulus[t].len(),
+                tick: t as Tick,
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// Runs one batch lane alone on this network, from the initial state:
+    /// the trace (or error) lane `l` of
+    /// [`ReadyNetwork::run_batch_with_faults`] gives for `stimulus` with
+    /// `lane_faults` as its `lane_faults[l]`, on top of the installed
+    /// specs. Unlike a one-lane batch it steps `self` in place instead of
+    /// a clone, so a caller checking lanes one at a time pays for no copy
+    /// of the network. The installed fault plan is left in place.
+    ///
+    /// # Errors
+    ///
+    /// As [`ReadyNetwork::run_batch_with_faults`] for a one-lane batch.
+    pub fn run_lane(
+        &mut self,
+        stimulus: &[Vec<Message>],
+        lane_faults: &[FaultSpec],
+    ) -> Result<Trace, KernelError> {
+        self.check_arity(stimulus)?;
+        if lane_faults.is_empty() {
+            self.reset();
+            return self.run_inner(stimulus, None);
+        }
+        let mut specs = self.fault_specs.clone();
+        specs.extend_from_slice(lane_faults);
+        let plan = self.compile_fault_plan(&specs)?;
+        let installed = self.faults.take();
+        let trace = self.run_alone(stimulus, Some(plan), None);
+        self.faults = installed;
+        trace
+    }
+
+    /// Resets this network and runs `stimulus` under `plan` (`None` =
+    /// nominal) — one lane of a vectorization-off batch.
+    fn run_alone(
+        &mut self,
+        stimulus: &[Vec<Message>],
+        plan: Option<FaultPlan>,
+        coverage: Option<&mut CoverageMap>,
+    ) -> Result<Trace, KernelError> {
+        self.faults = plan.filter(|p| !p.is_empty());
+        self.reset();
+        self.run_inner(stimulus, coverage)
+    }
+
     /// The vectorization-off batch: each lane alone through the single-run
     /// loop on a freshly reset copy of this network, under its own fault
     /// plan. The first failing lane's error stops the batch.
@@ -1370,13 +1417,9 @@ impl ReadyNetwork {
         let mut plans = lane_plans.map(Vec::into_iter);
         let mut traces = Vec::with_capacity(stimuli.len());
         for (l, stimulus) in stimuli.iter().enumerate() {
-            lone.reset();
-            lone.faults = plans
-                .as_mut()
-                .and_then(Iterator::next)
-                .filter(|p| !p.is_empty());
+            let plan = plans.as_mut().and_then(Iterator::next);
             let cov = coverage.as_deref_mut().map(|c| &mut c[l]);
-            traces.push(lone.run_inner(stimulus, cov)?);
+            traces.push(lone.run_alone(stimulus, plan, cov)?);
         }
         Ok(traces)
     }

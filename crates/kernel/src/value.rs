@@ -33,13 +33,20 @@ impl Fixed {
         Fixed { raw, frac_bits }
     }
 
-    /// Quantizes an `f64` to the nearest representable fixed-point value.
+    /// Quantizes an `f64` to the nearest representable fixed-point value
+    /// (saturating at the ends of the `i64` mantissa).
     pub fn from_f64(x: f64, frac_bits: u8) -> Self {
-        let scale = (1i64 << frac_bits) as f64;
         Fixed {
-            raw: (x * scale).round() as i64,
+            raw: (x * Self::scale(frac_bits)).round() as i64,
             frac_bits,
         }
+    }
+
+    /// `2^frac_bits`, exactly: every `u8` exponent is a normal `f64`, so
+    /// the power is built from its exponent bits instead of an integer
+    /// shift that would overflow from 63 bits up.
+    fn scale(frac_bits: u8) -> f64 {
+        f64::from_bits((1023 + u64::from(frac_bits)) << 52)
     }
 
     /// The raw mantissa.
@@ -54,26 +61,42 @@ impl Fixed {
 
     /// The real value represented, as `f64`.
     pub fn to_f64(&self) -> f64 {
-        self.raw as f64 / (1i64 << self.frac_bits) as f64
+        self.raw as f64 / Self::scale(self.frac_bits)
     }
 
     /// Re-quantizes to a different number of fractional bits.
     ///
-    /// Widening (`frac_bits` grows) is exact; narrowing rounds to nearest.
-    pub fn rescale(&self, frac_bits: u8) -> Self {
-        if frac_bits >= self.frac_bits {
-            Fixed {
-                raw: self.raw << (frac_bits - self.frac_bits),
-                frac_bits,
+    /// Widening (`frac_bits` grows) is exact; narrowing rounds to nearest
+    /// (halves up). Narrowing by 64 bits or more rounds every mantissa to
+    /// zero.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KernelError::Overflow`] when widening pushes a nonzero
+    /// mantissa out of `i64` — always the case for a shift of 64 or more.
+    pub fn rescale(&self, frac_bits: u8) -> Result<Fixed, KernelError> {
+        let raw = i128::from(self.raw);
+        let raw = if frac_bits >= self.frac_bits {
+            let shift = u32::from(frac_bits - self.frac_bits);
+            if raw == 0 {
+                0
+            } else if shift >= 64 {
+                return Err(KernelError::Overflow("fixed rescale"));
+            } else {
+                i64::try_from(raw << shift).map_err(|_| KernelError::Overflow("fixed rescale"))?
             }
         } else {
-            let shift = self.frac_bits - frac_bits;
-            let half = 1i64 << (shift - 1);
-            Fixed {
-                raw: (self.raw + half) >> shift,
-                frac_bits,
+            let shift = u32::from(self.frac_bits - frac_bits);
+            if shift >= 64 {
+                // |raw| <= 2^63, so |raw / 2^shift| <= 1/2 rounds to 0.
+                0
+            } else {
+                // In i128 the half-up bias cannot overflow, and the result
+                // is at most (2^63 - 1 + 2^62) / 2 < 2^63.
+                ((raw + (1i128 << (shift - 1))) >> shift) as i64
             }
-        }
+        };
+        Ok(Fixed { raw, frac_bits })
     }
 
     /// Checked addition.
@@ -112,7 +135,9 @@ impl Fixed {
     /// Same conditions as [`Fixed::checked_add`].
     pub fn checked_mul(self, rhs: Fixed) -> Result<Fixed, KernelError> {
         self.same_scale(rhs)?;
-        let wide = ((self.raw as i128) * (rhs.raw as i128)) >> self.frac_bits;
+        // |product| < 2^126, so shifting by 127 gives what any larger shift
+        // would; an i128 shift of 128 or more panics.
+        let wide = ((self.raw as i128) * (rhs.raw as i128)) >> self.frac_bits.min(127);
         let raw = i64::try_from(wide).map_err(|_| KernelError::Overflow("fixed mul"))?;
         Ok(Fixed::from_raw(raw, self.frac_bits))
     }
@@ -381,14 +406,71 @@ mod tests {
     #[test]
     fn fixed_rescale_widening_is_exact() {
         let a = Fixed::from_f64(1.625, 4);
-        assert_eq!(a.rescale(12).to_f64(), 1.625);
+        assert_eq!(a.rescale(12).unwrap().to_f64(), 1.625);
     }
 
     #[test]
     fn fixed_rescale_narrowing_rounds() {
         let a = Fixed::from_raw(0b1011, 3); // 1.375
-        let n = a.rescale(1); // quantum 0.5 -> 1.5
+        let n = a.rescale(1).unwrap(); // quantum 0.5 -> 1.5
         assert_eq!(n.to_f64(), 1.5);
+    }
+
+    #[test]
+    fn fixed_scales_from_62_bits_up_are_exact_and_positive() {
+        for bits in [62u8, 63, 64, 200] {
+            let scale = 2f64.powi(i32::from(bits));
+            assert_eq!(Fixed::from_raw(3, bits).to_f64(), 3.0 / scale, "{bits}");
+            assert_eq!(Fixed::from_raw(-3, bits).to_f64(), -3.0 / scale, "{bits}");
+            assert_eq!(Fixed::from_f64(3.0 / scale, bits).raw(), 3, "{bits}");
+        }
+        // Out-of-range values saturate the mantissa.
+        assert_eq!(Fixed::from_f64(1.0, 64).raw(), i64::MAX);
+        // One half at 63 bits: a negative scale would flip the sign.
+        assert_eq!(Fixed::from_raw(1 << 62, 63).to_f64(), 0.5);
+        assert_eq!(
+            Value::Fixed(Fixed::from_raw(1, 200)).to_string(),
+            format!("{}q200", 2f64.powi(-200))
+        );
+        // Multiplication at scales past 127 bits underflows to 0 or -1.
+        let tiny = Fixed::from_raw(5, 200);
+        assert_eq!(tiny.checked_mul(tiny).unwrap().raw(), 0);
+        assert_eq!(
+            tiny.checked_mul(Fixed::from_raw(-5, 200)).unwrap().raw(),
+            -1
+        );
+    }
+
+    #[test]
+    fn fixed_rescale_by_62_bits_and_up() {
+        let one = Fixed::from_raw(1, 0);
+        assert_eq!(one.rescale(62).unwrap().raw(), 1 << 62);
+        // 2^63 is one past i64::MAX.
+        assert!(matches!(one.rescale(63), Err(KernelError::Overflow(_))));
+        assert_eq!(Fixed::from_raw(-1, 0).rescale(63).unwrap().raw(), i64::MIN);
+        for bits in [64u8, 200] {
+            assert!(
+                matches!(one.rescale(bits), Err(KernelError::Overflow(_))),
+                "{bits}"
+            );
+            assert_eq!(
+                Fixed::from_raw(0, 0).rescale(bits).unwrap().raw(),
+                0,
+                "{bits}"
+            );
+        }
+        // Narrowing rounds half up, with no overflow at the mantissa ends.
+        let max = Fixed::from_raw(i64::MAX, 62);
+        assert_eq!(max.rescale(0).unwrap().raw(), 2);
+        assert_eq!(Fixed::from_raw(i64::MIN, 63).rescale(0).unwrap().raw(), -1);
+        // 0.75 to a quantum of 0.5 rounds up to 1.0.
+        assert_eq!(Fixed::from_raw(3 << 61, 63).rescale(1).unwrap().raw(), 2);
+        for bits in [64u8, 200] {
+            for raw in [i64::MAX, i64::MIN, 1, -1] {
+                let n = Fixed::from_raw(raw, bits).rescale(0).unwrap();
+                assert_eq!(n, Fixed::from_raw(0, 0), "{raw} at {bits}");
+            }
+        }
     }
 
     #[test]

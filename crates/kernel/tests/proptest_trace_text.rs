@@ -118,8 +118,8 @@ fn arb_value() -> impl Strategy<Value = Value> {
         any::<bool>().prop_map(Value::Bool),
         any::<i64>().prop_map(Value::Int),
         arb_float().prop_map(Value::Float),
-        // `Fixed::to_f64` holds for scales below 2^63.
-        (any::<i64>(), 0u8..63).prop_map(|(raw, bits)| Value::Fixed(Fixed::from_raw(raw, bits))),
+        (any::<i64>(), any::<u8>())
+            .prop_map(|(raw, bits)| Value::Fixed(Fixed::from_raw(raw, bits))),
         arb_text(6).prop_map(Value::Sym),
     ]
 }

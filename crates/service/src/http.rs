@@ -55,7 +55,8 @@ pub struct ServerConfig {
     pub cache_capacity: usize,
     /// Largest accepted request body in bytes (`413` beyond this).
     pub max_body: usize,
-    /// Differential-oracle sampling period in shards (`0` disables).
+    /// Differential-oracle sampling period N in shards: shards 0, N, 2N,
+    /// … of every sweep are re-run (`0` disables).
     pub oracle_every: usize,
     /// Per-connection reorder-buffer capacity in shards.
     pub queue_cap: usize,

@@ -21,10 +21,11 @@
 //!    with bounded per-connection queues for backpressure ([`sweep`],
 //!    [`http`]).
 //!
-//! A sampled **live differential oracle** re-runs ~1/16 of shards with
-//! batch vectorization disabled and fails the sweep on any divergence —
-//! the typed-lane fast path is continuously cross-checked in production,
-//! not just in proptests.
+//! A sampled **live differential oracle** re-runs shards 0, 16, 32, … of
+//! every sweep (so always its first shard) with batch vectorization
+//! disabled and fails the sweep on any divergence — the typed-lane fast
+//! path is continuously cross-checked in production, not just in
+//! proptests.
 //!
 //! The workspace is offline: no tokio, no hyper, no serde. HTTP/1.1 is
 //! hand-rolled over [`std::net::TcpListener`] with a connection thread

@@ -6,8 +6,9 @@
 //! the worker-local deques ([`WorkerPool::submit_shards`], the sweep
 //! sharding path — it pre-spreads a burst of similar-cost shards so
 //! workers start without contending on one queue). An idle worker pops
-//! its own deque first (LIFO, cache-warm), then the injector, then
-//! steals from siblings (FIFO, oldest first).
+//! its own deque first, then the injector, then steals from siblings —
+//! always the oldest job first, so one worker runs a sweep's shards in
+//! the order the response writer emits them.
 //!
 //! The sleep protocol is the standard race-free Condvar shape: a worker
 //! that finds every queue empty takes the sleep lock, **re-checks** the
@@ -60,12 +61,15 @@ impl PoolShared {
             .any(|l| !l.lock().expect("local deque poisoned").is_empty())
     }
 
-    /// Pop one job for worker `me`: own deque (LIFO) → injector → steal.
+    /// Pop one job for worker `me`, oldest first: own deque → injector →
+    /// steal. Popping the own deque from the front means a worker runs
+    /// `submit_shards` jobs in submission order, so the shard the writer
+    /// needs next is never queued behind later ones.
     fn pop(&self, me: usize) -> Option<Job> {
         if let Some(j) = self.locals[me]
             .lock()
             .expect("local deque poisoned")
-            .pop_back()
+            .pop_front()
         {
             return Some(j);
         }
@@ -264,6 +268,31 @@ mod tests {
         pool.submit_shards(jobs);
         pool.shutdown();
         assert_eq!(done.load(Relaxed), 64);
+    }
+
+    #[test]
+    fn one_worker_runs_shards_in_submission_order() {
+        let pool = WorkerPool::new(1);
+        // Park the only worker so the whole burst is queued before any of
+        // it runs.
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let (parked, started) = std::sync::mpsc::channel::<()>();
+        pool.submit(move || {
+            parked.send(()).expect("parked");
+            gate.recv().expect("gate");
+        });
+        started.recv().expect("worker started");
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let jobs: Vec<Job> = (0..8)
+            .map(|i| {
+                let order = order.clone();
+                Box::new(move || order.lock().unwrap().push(i)) as Job
+            })
+            .collect();
+        pool.submit_shards(jobs);
+        release.send(()).unwrap();
+        pool.shutdown();
+        assert_eq!(*order.lock().unwrap(), (0..8).collect::<Vec<_>>());
     }
 
     #[test]

@@ -14,16 +14,23 @@
 //! needs *next* is always admitted even when the buffer is full —
 //! that exemption is what makes the protocol deadlock-free.
 //!
-//! A sampled **live differential oracle** re-runs every `oracle_every`-th
-//! shard on a clone of the compiled model with batch vectorization
-//! disabled and compares the runs exactly; any divergence fails the
-//! sweep and names the offending scenarios.
+//! A sampled **live differential oracle** re-runs shards 0, N, 2N, …
+//! (N = `oracle_every`) on a clone of the compiled model with batch
+//! vectorization disabled and compares the runs exactly; any divergence
+//! fails the sweep and names the offending scenarios. Every request's
+//! first shard is therefore checked, and a 2-shard request re-runs half
+//! its scenarios. A sampled shard with later shards behind it is checked
+//! by the writer (the connection thread), lane by lane, while the pool
+//! runs on: the worker hands over its bare runs, and the writer re-runs
+//! each lane alone on one reused copy, compares, encodes and sends it.
+//! The last shard — so every single-shard request — is checked inline by
+//! its worker.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
 use automode_core::json::{Json, JsonWriter};
-use automode_kernel::{vcd, FaultKind, Stream, Value};
+use automode_kernel::{vcd, ContractMonitor, FaultKind, Stream, Value};
 use automode_sim::report::sim_run_to_json;
 use automode_sim::{stimulus, BatchScenario, CompiledSim, SimRun};
 
@@ -350,15 +357,24 @@ fn parse_fault(item: &Json, idx: usize) -> Result<FaultSpec, ServiceError> {
 // ---------------------------------------------------------------------------
 
 /// What one shard hands to the writer.
-struct ShardOut {
-    /// One encoded ndjson line per scenario, in scenario order.
-    lines: Vec<String>,
-    /// Shard-level simulation failure, if any.
-    error: Option<String>,
-    /// Scenario indices where the differential oracle diverged.
-    diverged: Vec<usize>,
-    /// Whether the oracle sampled this shard.
-    oracle_checked: bool,
+enum ShardOut {
+    /// One encoded ndjson line per scenario, in scenario order: every
+    /// unsampled shard, a sampled last shard (checked on its worker), and
+    /// any shard whose batch failed.
+    Lines {
+        lines: Vec<String>,
+        /// Whether the batch or its oracle re-run failed, or a lane
+        /// diverged.
+        failed: bool,
+        /// Scenarios where the differential oracle diverged.
+        diverged: usize,
+        /// Whether the oracle sampled this shard.
+        oracle_checked: bool,
+    },
+    /// A sampled shard with later shards behind it: its runs, neither
+    /// checked nor encoded. The writer checks, encodes and sends them
+    /// lane by lane ([`LaneOracle`]).
+    Unchecked(Vec<SimRun>),
 }
 
 struct StreamState {
@@ -418,8 +434,9 @@ impl StreamBuf {
 /// Knobs the server passes into [`execute`].
 #[derive(Debug, Clone, Copy)]
 pub struct ExecOpts {
-    /// Differential-oracle sampling period in shards (re-run every N-th
-    /// shard with vectorization disabled); `0` disables the oracle.
+    /// Differential-oracle sampling period N in shards: shards 0, N, 2N, …
+    /// re-run with vectorization disabled, so the first shard of every
+    /// request is checked; `0` disables the oracle.
     pub oracle_every: usize,
     /// Reorder-buffer capacity in shards (per-connection backpressure).
     pub queue_cap: usize,
@@ -449,6 +466,13 @@ pub struct SweepOutcome {
     pub failed: bool,
 }
 
+/// Whether the differential oracle checks shard `shard_idx` when it samples
+/// every `every`-th shard: shards 0, N, 2N, … for N = `every`, none for
+/// N = 0. Every request's first shard is therefore checked.
+fn oracle_samples(shard_idx: usize, every: usize) -> bool {
+    every > 0 && shard_idx.is_multiple_of(every)
+}
+
 /// Runs `spec` against `sim` on `pool`, feeding encoded ndjson lines to
 /// `emit` **in scenario order**. Every scenario produces exactly one
 /// line (a result object or an error object), so a stream is complete
@@ -466,27 +490,72 @@ pub fn execute(
     opts: ExecOpts,
     emit: &mut dyn FnMut(&str) -> std::io::Result<()>,
 ) -> std::io::Result<SweepOutcome> {
-    let shards = spec.shards();
-    // The oracle clone drops the typed-lane fast path: same compiled
+    // The oracle copy drops the typed-lane fast path: same compiled
     // artifact, each lane run alone through the single-run loop.
-    let oracle: Option<Arc<CompiledSim>> = if opts.oracle_every > 0 {
+    let oracle = (opts.oracle_every > 0).then(|| {
         let mut o = (**sim).clone();
         o.set_batch_vectorization(false);
-        Some(Arc::new(o))
+        o
+    });
+    execute_checked(spec, sim, oracle, pool, opts, emit)
+}
+
+/// How a shard's runs are checked against the oracle.
+enum ShardCheck {
+    /// Not sampled.
+    Unsampled,
+    /// Sampled, and the request's last shard: the worker re-runs the
+    /// batch on this handle before encoding.
+    Inline(Arc<CompiledSim>),
+    /// Sampled with later shards behind it: the writer checks it.
+    Writer,
+}
+
+/// [`execute`] against the given oracle handle (`None`: no oracle).
+///
+/// A sampled shard with later shards behind it goes to the writer
+/// unchecked; the writer re-runs it lane by lane while the pool runs the
+/// next shards. Only the last shard — and so every single-shard request —
+/// is re-run inline on its worker, since the writer would have nothing to
+/// overlap it with.
+fn execute_checked(
+    spec: &Arc<SweepSpec>,
+    sim: &Arc<CompiledSim>,
+    oracle: Option<CompiledSim>,
+    pool: &WorkerPool,
+    opts: ExecOpts,
+    emit: &mut dyn FnMut(&str) -> std::io::Result<()>,
+) -> std::io::Result<SweepOutcome> {
+    let shards = spec.shards();
+    let last = shards - 1;
+    let every = if oracle.is_some() {
+        opts.oracle_every
     } else {
-        None
+        0
+    };
+    // The writer owns the oracle copy; the worker of a sampled last shard
+    // shares one of its own.
+    let (inline, mut lane_oracle) = match oracle {
+        Some(o) if shards > 1 => {
+            let inline = oracle_samples(last, every).then(|| Arc::new(o.clone()));
+            (inline, Some(LaneOracle::new(o, spec, sim)))
+        }
+        o => (o.map(Arc::new), None),
     };
     let buf = Arc::new(StreamBuf::new());
     let make_job = |shard_idx: usize| -> Job {
         let spec = spec.clone();
         let sim = sim.clone();
         let buf = buf.clone();
-        let oracle = oracle
-            .as_ref()
-            .filter(|_| shard_idx.is_multiple_of(opts.oracle_every.max(1)))
-            .cloned();
+        let check = if !oracle_samples(shard_idx, every) {
+            ShardCheck::Unsampled
+        } else if shard_idx == last {
+            ShardCheck::Inline(inline.clone().expect("a sampled last shard has an oracle"))
+        } else {
+            ShardCheck::Writer
+        };
         Box::new(move || {
-            let out = run_shard(&spec, &sim, oracle.as_deref(), shard_idx);
+            let out = run_shard(&spec, &sim, &check, shard_idx);
             buf.push(shard_idx, out);
         })
     };
@@ -501,7 +570,8 @@ pub fn execute(
     pool.submit_shards((0..submitted).map(&make_job));
 
     // This thread (the connection handler) is the writer: it re-sequences
-    // shard outputs and pushes them down the socket.
+    // shard outputs, checks the shards handed to it, and pushes the lines
+    // down the socket.
     let mut outcome = SweepOutcome {
         scenarios: spec.count,
         shards,
@@ -510,22 +580,38 @@ pub fn execute(
     let mut sink_err: Option<std::io::Error> = None;
     let mut popped = 0;
     while popped < submitted {
+        let shard_idx = popped;
         let out = buf.pop_next();
         popped += 1;
-        if out.oracle_checked {
-            outcome.oracle_shards += 1;
-        }
-        outcome.oracle_divergences += out.diverged.len();
-        if out.error.is_some() || !out.diverged.is_empty() {
-            outcome.failed = true;
-        }
-        if sink_err.is_none() {
-            for line in &out.lines {
-                if let Err(e) = emit(line) {
-                    sink_err = Some(e);
-                    break;
+        let sent = match out {
+            ShardOut::Lines {
+                lines,
+                failed,
+                diverged,
+                oracle_checked,
+            } => {
+                outcome.oracle_shards += usize::from(oracle_checked);
+                outcome.oracle_divergences += diverged;
+                outcome.failed |= failed;
+                match sink_err {
+                    Some(_) => Ok(()),
+                    None => lines.iter().try_for_each(|line| emit(line)),
                 }
             }
+            ShardOut::Unchecked(runs) => {
+                outcome.oracle_shards += 1;
+                match sink_err {
+                    // The client is gone: drop the runs unchecked.
+                    Some(_) => Ok(()),
+                    None => lane_oracle
+                        .as_mut()
+                        .expect("writer-checked shards have an oracle")
+                        .check_and_emit(spec, shard_idx, runs, &mut outcome, emit),
+                }
+            }
+        };
+        if let Err(e) = sent {
+            sink_err = Some(e);
         }
         // Refill the window — unless the client is gone, in which case we
         // only drain what is already in flight.
@@ -540,113 +626,192 @@ pub fn execute(
     }
 }
 
-/// Executes one K-lane shard: builds the scenario streams, runs the
-/// batch, optionally cross-checks against the scalar oracle, and encodes
-/// one line per scenario.
+/// The writer's half of the live oracle: a vectorization-off copy of the
+/// compiled model, reused for every lane it re-runs.
+struct LaneOracle {
+    sim: CompiledSim,
+    monitor: Option<ContractMonitor>,
+}
+
+impl LaneOracle {
+    fn new(sim: CompiledSim, spec: &SweepSpec, fast: &CompiledSim) -> LaneOracle {
+        LaneOracle {
+            sim,
+            monitor: spec.robustness.then(|| fast.monitor()),
+        }
+    }
+
+    /// Checks, encodes and sends shard `shard_idx`'s runs one lane at a
+    /// time: re-run the lane alone, compare the runs exactly, send the
+    /// result (or divergence) line, drop both runs. Once a re-run fails,
+    /// that lane and every later one in the shard get an `oracle re-run
+    /// failed` line; the lanes before it matched and went out as results.
+    ///
+    /// # Errors
+    ///
+    /// The first failed `emit`; no further lane is re-run.
+    fn check_and_emit(
+        &mut self,
+        spec: &SweepSpec,
+        shard_idx: usize,
+        runs: Vec<SimRun>,
+        outcome: &mut SweepOutcome,
+        emit: &mut dyn FnMut(&str) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
+        let mut rerun_failed: Option<String> = None;
+        for (run, i) in runs.into_iter().zip(shard_idx * spec.lanes..) {
+            let line = match &rerun_failed {
+                Some(msg) => error_line(i, msg),
+                None => {
+                    let inputs = lane_inputs(spec, i);
+                    match self.sim.run_scenario(&lane_scenario(spec, &inputs, i)) {
+                        Ok(slow) if slow == run => {
+                            result_line(spec, self.monitor.as_ref(), i, &run)
+                        }
+                        Ok(_) => {
+                            log_divergence(i, shard_idx);
+                            outcome.oracle_divergences += 1;
+                            outcome.failed = true;
+                            error_line(i, DIVERGENCE)
+                        }
+                        Err(e) => {
+                            outcome.failed = true;
+                            let msg = format!("oracle re-run failed: {e}");
+                            let line = error_line(i, &msg);
+                            rerun_failed = Some(msg);
+                            line
+                        }
+                    }
+                }
+            };
+            emit(&line)?;
+        }
+        Ok(())
+    }
+}
+
+/// The in-band error text of a diverged scenario.
+const DIVERGENCE: &str = "differential oracle divergence";
+
+/// Server-side log of a scenario where the oracle diverged.
+fn log_divergence(i: usize, shard_idx: usize) {
+    eprintln!(
+        "service: differential oracle divergence at scenario {i} (shard {shard_idx}): \
+         vectorized batch run differs from scalar reference"
+    );
+}
+
+/// Scenario `i`'s named input streams.
+fn lane_inputs(spec: &SweepSpec, i: usize) -> Vec<(&str, Stream)> {
+    spec.inputs
+        .iter()
+        .map(|inp| (inp.port.as_str(), inp.stream(i, spec.ticks)))
+        .collect()
+}
+
+/// Scenario `i` as a batch lane over its `inputs`, with the faults that
+/// apply to it.
+fn lane_scenario<'a>(
+    spec: &SweepSpec,
+    inputs: &'a [(&'a str, Stream)],
+    i: usize,
+) -> BatchScenario<'a> {
+    let mut sc = BatchScenario::new(inputs, spec.ticks);
+    for f in &spec.faults {
+        if f.lane_mod.is_none_or(|m| (i as u64).is_multiple_of(m)) {
+            sc = sc.with_fault(f.target.clone(), f.kind.clone());
+        }
+    }
+    sc
+}
+
+/// Encodes scenario `i`'s checked (or unsampled) run as its result line,
+/// with the robustness report and VCD text the spec asks for.
+fn result_line(
+    spec: &SweepSpec,
+    monitor: Option<&ContractMonitor>,
+    i: usize,
+    run: &SimRun,
+) -> String {
+    let report = monitor.map(|m| m.check(&run.trace));
+    let vcd_text = spec.vcd.then(|| {
+        let mut out = Vec::new();
+        let _ = vcd::write_vcd(&run.trace, "sweep", &mut out);
+        String::from_utf8(out)
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
+    });
+    scenario_line(i, run, spec.trace, report.as_ref(), vcd_text.as_deref())
+}
+
+/// Executes one K-lane shard: builds the scenario streams and runs the
+/// batch. A shard checked inline re-runs on the oracle and is encoded
+/// here, as is an unsampled one; a writer-checked shard goes back as
+/// its bare runs.
 fn run_shard(
     spec: &SweepSpec,
     sim: &CompiledSim,
-    oracle: Option<&CompiledSim>,
+    check: &ShardCheck,
     shard_idx: usize,
 ) -> ShardOut {
     let start = shard_idx * spec.lanes;
     let end = (start + spec.lanes).min(spec.count);
-    let lane_inputs: Vec<Vec<(&str, Stream)>> = (start..end)
-        .map(|i| {
-            spec.inputs
-                .iter()
-                .map(|inp| (inp.port.as_str(), inp.stream(i, spec.ticks)))
-                .collect()
-        })
-        .collect();
-    let scenarios: Vec<BatchScenario> = lane_inputs
+    let inputs: Vec<Vec<(&str, Stream)>> = (start..end).map(|i| lane_inputs(spec, i)).collect();
+    let scenarios: Vec<BatchScenario> = inputs
         .iter()
-        .enumerate()
-        .map(|(lane, inputs)| {
-            let mut sc = BatchScenario::new(inputs, spec.ticks);
-            for f in &spec.faults {
-                let applies = match f.lane_mod {
-                    Some(m) => ((start + lane) as u64).is_multiple_of(m),
-                    None => true,
-                };
-                if applies {
-                    sc = sc.with_fault(f.target.clone(), f.kind.clone());
-                }
-            }
-            sc
-        })
+        .zip(start..)
+        .map(|(inp, i)| lane_scenario(spec, inp, i))
         .collect();
+    let sampled = !matches!(check, ShardCheck::Unsampled);
+    let fail_all = |prefix: &str, e: &dyn std::fmt::Display| ShardOut::Lines {
+        lines: (start..end)
+            .map(|i| error_line(i, &format!("{prefix}: {e}")))
+            .collect(),
+        failed: true,
+        diverged: 0,
+        oracle_checked: sampled,
+    };
 
     let runs = match sim.run_batch(&scenarios) {
         Ok(r) => r,
-        Err(e) => {
-            return ShardOut {
-                lines: (start..end)
-                    .map(|i| error_line(i, &format!("simulation failed: {e}")))
-                    .collect(),
-                error: Some(e.to_string()),
-                diverged: Vec::new(),
-                oracle_checked: oracle.is_some(),
-            }
-        }
+        Err(e) => return fail_all("simulation failed", &e),
     };
 
     // Live differential oracle: the sampled shard re-runs with batch
     // vectorization off; the runs must match *exactly*.
     let mut diverged = Vec::new();
-    if let Some(o) = oracle {
-        match o.run_batch(&scenarios) {
+    match check {
+        ShardCheck::Unsampled => {}
+        ShardCheck::Writer => return ShardOut::Unchecked(runs),
+        ShardCheck::Inline(o) => match o.run_batch(&scenarios) {
             Ok(scalar_runs) => {
-                for (lane, (fast, slow)) in runs.iter().zip(scalar_runs.iter()).enumerate() {
+                for ((fast, slow), i) in runs.iter().zip(&scalar_runs).zip(start..) {
                     if fast != slow {
-                        diverged.push(start + lane);
+                        log_divergence(i, shard_idx);
+                        diverged.push(i);
                     }
                 }
             }
-            Err(e) => {
-                return ShardOut {
-                    lines: (start..end)
-                        .map(|i| error_line(i, &format!("oracle re-run failed: {e}")))
-                        .collect(),
-                    error: Some(e.to_string()),
-                    diverged: Vec::new(),
-                    oracle_checked: true,
-                }
-            }
-        }
-    }
-    for &i in &diverged {
-        // Server-side log of the offending scenario (satellite a).
-        eprintln!(
-            "service: differential oracle divergence at scenario {i} (shard {shard_idx}): \
-             vectorized batch run differs from scalar reference"
-        );
+            Err(e) => return fail_all("oracle re-run failed", &e),
+        },
     }
 
     let monitor = spec.robustness.then(|| sim.monitor());
     let lines = runs
         .iter()
-        .enumerate()
-        .map(|(lane, run)| {
-            let i = start + lane;
+        .zip(start..)
+        .map(|(run, i)| {
             if diverged.contains(&i) {
-                return error_line(i, "differential oracle divergence");
+                error_line(i, DIVERGENCE)
+            } else {
+                result_line(spec, monitor.as_ref(), i, run)
             }
-            let report = monitor.as_ref().map(|m| m.check(&run.trace));
-            let vcd_text = spec.vcd.then(|| {
-                let mut out = Vec::new();
-                let _ = vcd::write_vcd(&run.trace, "sweep", &mut out);
-                String::from_utf8(out)
-                    .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
-            });
-            scenario_line(i, run, spec.trace, report.as_ref(), vcd_text.as_deref())
         })
         .collect();
-    ShardOut {
+    ShardOut::Lines {
         lines,
-        error: None,
-        diverged,
-        oracle_checked: oracle.is_some(),
+        failed: !diverged.is_empty(),
+        diverged: diverged.len(),
+        oracle_checked: sampled,
     }
 }
 
@@ -707,12 +872,184 @@ mod tests {
     }
 
     fn gain_model() -> String {
-        "model t\n\ncomponent Gain {\n  in u: float\n  out y: float\n  expr y = (u * 2.0)\n}\n\nroot Gain\n".to_string()
+        model_with("(u * 2.0)")
+    }
+
+    fn model_with(expr: &str) -> String {
+        format!(
+            "model t\n\ncomponent Gain {{\n  in u: float\n  out y: float\n  expr y = {expr}\n}}\n\nroot Gain\n"
+        )
     }
 
     fn compiled() -> Arc<CompiledSim> {
         let model = automode_core::text::from_text(&gain_model()).unwrap();
         Arc::new(CompiledSim::new_root(&model).unwrap())
+    }
+
+    /// A vectorization-off oracle handle computing `y = expr` — a stand-in
+    /// for a kernel whose two loops disagree.
+    fn oracle_with(expr: &str) -> CompiledSim {
+        let model = automode_core::text::from_text(&model_with(expr)).unwrap();
+        let mut o = CompiledSim::new_root(&model).unwrap();
+        o.set_batch_vectorization(false);
+        o
+    }
+
+    /// Runs a gain sweep with `u = 1.0 + 0.5 i` against `oracle`,
+    /// returning every line and the outcome.
+    fn run_against(
+        oracle: CompiledSim,
+        count: usize,
+        lanes: usize,
+        every: usize,
+    ) -> (Vec<String>, SweepOutcome) {
+        let doc = parse(&spec_doc(&format!(
+            r#"{{"count": {count}, "ticks": 6, "lanes": {lanes},
+                "inputs": [{{"port": "u", "kind": "constant", "value": 1.0, "value_step": 0.5}}]}}"#
+        )))
+        .unwrap();
+        let spec = Arc::new(SweepSpec::from_json(&doc).unwrap());
+        let pool = WorkerPool::new(2);
+        let mut lines = Vec::new();
+        let opts = ExecOpts {
+            oracle_every: every,
+            queue_cap: 2,
+        };
+        let outcome = execute_checked(&spec, &compiled(), Some(oracle), &pool, opts, &mut |l| {
+            lines.push(l.to_string());
+            Ok(())
+        })
+        .unwrap();
+        pool.shutdown();
+        assert_eq!(lines.len(), count);
+        (lines, outcome)
+    }
+
+    /// The error text of a line, or `None` for a result line.
+    fn error_of(line: &str) -> Option<String> {
+        let v = parse(line).unwrap();
+        v.get("error").map(|e| e.as_str().unwrap().to_string())
+    }
+
+    #[test]
+    fn oracle_samples_shards_zero_n_2n() {
+        // (count, lanes, N) → the sampled shard indices.
+        let cases: [(usize, usize, usize, &[usize]); 6] = [
+            (32, 32, 16, &[0]),
+            (64, 32, 16, &[0]),
+            (512, 32, 16, &[0]),
+            (37, 8, 2, &[0, 2, 4]),
+            (100, 4, 8, &[0, 8, 16, 24]),
+            (64, 8, 0, &[]),
+        ];
+        let pool = WorkerPool::new(2);
+        for (count, lanes, every, want) in cases {
+            let doc = parse(&spec_doc(&format!(
+                r#"{{"count": {count}, "ticks": 4, "lanes": {lanes},
+                    "inputs": [{{"port": "u", "kind": "ramp", "to_step": 0.5}}]}}"#
+            )))
+            .unwrap();
+            let spec = Arc::new(SweepSpec::from_json(&doc).unwrap());
+            let sampled: Vec<usize> = (0..spec.shards())
+                .filter(|&s| oracle_samples(s, every))
+                .collect();
+            assert_eq!(sampled, want, "count {count} lanes {lanes} N {every}");
+            let opts = ExecOpts {
+                oracle_every: every,
+                queue_cap: 4,
+            };
+            let outcome = execute(&spec, &compiled(), &pool, opts, &mut |_| Ok(())).unwrap();
+            assert_eq!(outcome.oracle_shards, want.len());
+            assert!(!outcome.failed);
+        }
+        // A 2-shard request checks half its shards.
+        assert!(oracle_samples(0, 16) && !oracle_samples(1, 16));
+        pool.shutdown();
+    }
+
+    #[test]
+    fn mismatching_oracle_fails_every_sampled_lane() {
+        // Shards of 4: shard 0 is checked by the writer, shard 1 is not
+        // sampled, shard 2 (the last) is checked on its worker.
+        let (lines, outcome) = run_against(oracle_with("(u * 3.0)"), 12, 4, 2);
+        for (i, line) in lines.iter().enumerate() {
+            let want = (!(4..8).contains(&i)).then(|| DIVERGENCE.to_string());
+            assert_eq!(error_of(line), want, "line {i}");
+        }
+        assert_eq!(
+            outcome,
+            SweepOutcome {
+                scenarios: 12,
+                shards: 3,
+                oracle_shards: 2,
+                oracle_divergences: 8,
+                failed: true,
+            }
+        );
+    }
+
+    #[test]
+    fn oracle_error_on_a_writer_checked_lane_fails_it_and_the_rest() {
+        // The oracle agrees with `u * 2.0` bit for bit except at u = 3.0
+        // (scenario 4), where it divides by zero.
+        let (lines, outcome) = run_against(
+            oracle_with("((u * 2.0) * ((u - 3.0) / (u - 3.0)))"),
+            12,
+            8,
+            1,
+        );
+        let direct = compiled();
+        for (i, line) in lines.iter().enumerate() {
+            if (4..8).contains(&i) {
+                let e = error_of(line).unwrap();
+                assert!(e.starts_with("oracle re-run failed: "), "line {i}: {e}");
+                assert!(e.contains("division by zero"), "line {i}: {e}");
+            } else {
+                // Lanes below the failing one matched and went out as
+                // results, as did the (unfailing) last shard.
+                let inputs = [(
+                    "u",
+                    stimulus::constant(Value::Float(1.0 + 0.5 * i as f64), 6),
+                )];
+                let run = direct.run_batch(&[BatchScenario::new(&inputs, 6)]).unwrap();
+                assert_eq!(
+                    line,
+                    &scenario_line(i, &run[0], false, None, None),
+                    "line {i}"
+                );
+            }
+        }
+        assert_eq!(
+            outcome,
+            SweepOutcome {
+                scenarios: 12,
+                shards: 2,
+                oracle_shards: 2,
+                oracle_divergences: 0,
+                failed: true,
+            }
+        );
+    }
+
+    #[test]
+    fn oracle_error_on_the_last_shard_fails_the_whole_shard() {
+        // Scenario 9 (u = 5.5) sits in the last shard, checked inline: the
+        // batch re-run stops at it and every lane of the shard fails.
+        let (lines, outcome) = run_against(
+            oracle_with("((u * 2.0) * ((u - 5.5) / (u - 5.5)))"),
+            12,
+            8,
+            1,
+        );
+        for (i, line) in lines.iter().enumerate() {
+            let e = error_of(line);
+            assert_eq!(e.is_some(), i >= 8, "line {i}: {e:?}");
+            if let Some(e) = e {
+                assert!(e.starts_with("oracle re-run failed: "), "line {i}: {e}");
+            }
+        }
+        assert_eq!((outcome.oracle_shards, outcome.oracle_divergences), (2, 0));
+        assert!(outcome.failed);
     }
 
     #[test]
@@ -889,6 +1226,42 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe);
         // All jobs still drained; the pool shuts down cleanly.
+        pool.shutdown();
+    }
+
+    #[test]
+    fn sink_failure_stops_lane_checks() {
+        // Shard 0 is checked by the writer; the sink fails on its third
+        // line, after which no lane is re-run or sent.
+        let doc = parse(&spec_doc(
+            r#"{"count": 64, "ticks": 8, "lanes": 8,
+                "inputs": [{"port": "u", "kind": "ramp", "to_step": 0.5}]}"#,
+        ))
+        .unwrap();
+        let spec = Arc::new(SweepSpec::from_json(&doc).unwrap());
+        let pool = WorkerPool::new(2);
+        let mut calls = 0usize;
+        let err = execute(
+            &spec,
+            &compiled(),
+            &pool,
+            ExecOpts {
+                oracle_every: 2,
+                queue_cap: 2,
+            },
+            &mut |line| {
+                calls += 1;
+                assert!(line.contains("\"result\""), "{line}");
+                if calls > 2 {
+                    Err(std::io::Error::new(std::io::ErrorKind::BrokenPipe, "gone"))
+                } else {
+                    Ok(())
+                }
+            },
+        )
+        .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe);
+        assert_eq!(calls, 3);
         pool.shutdown();
     }
 }

@@ -365,13 +365,15 @@ fn explore_streams_generations_repros_and_done() {
 /// with a well-behaved sweep of the same spec, and waits until `/stats`
 /// accounts for both. Returns the final `sweeps.failed` and
 /// `pool.executed` counters and the shard count of one complete sweep.
-fn disconnect_then_sweep(marker: &str) -> (u64, u64, u64) {
+/// With `oracle_every` > 0 the writer is re-running sampled lanes when
+/// the client leaves.
+fn disconnect_then_sweep(marker: &str, oracle_every: usize) -> (u64, u64, u64) {
     use std::io::{Read, Write};
 
     let server = serve(ServerConfig {
         workers: 2,
         conn_threads: 2,
-        oracle_every: 0,
+        oracle_every,
         queue_cap: 2,
         ..ServerConfig::default()
     })
@@ -454,15 +456,20 @@ fn disconnect_then_sweep(marker: &str) -> (u64, u64, u64) {
 /// same server completes in full.
 #[test]
 fn client_disconnect_mid_stream_recovers() {
-    // Waiting for the first scenario line means shards are already
-    // streaming when the client leaves.
-    let (failed, executed, shards) = disconnect_then_sweep("{\"scenario\"");
-    // Exactly the aborted sweep is failed. The abort path stops
-    // *submitting* new shards but drains the in-flight window, so the pool
-    // executed the complete sweep's shards plus a few from the aborted one
-    // — and nothing is left queued.
-    assert_eq!(failed, 1);
-    assert!(executed > shards, "pool executed only {executed} shards");
+    for oracle_every in [0, 2] {
+        // Waiting for the first scenario line means shards are already
+        // streaming when the client leaves.
+        let (failed, executed, shards) = disconnect_then_sweep("{\"scenario\"", oracle_every);
+        // Exactly the aborted sweep is failed. The abort path stops
+        // *submitting* new shards but drains the in-flight window, so the
+        // pool executed the complete sweep's shards plus a few from the
+        // aborted one — and nothing is left queued.
+        assert_eq!(failed, 1, "oracle_every {oracle_every}");
+        assert!(
+            executed > shards,
+            "oracle_every {oracle_every}: pool executed only {executed} shards"
+        );
+    }
 }
 
 /// A client that leaves right after the response head — possibly before
@@ -470,11 +477,16 @@ fn client_disconnect_mid_stream_recovers() {
 /// leaves exactly one failed sweep in `/stats`, and the service recovers.
 #[test]
 fn client_disconnect_after_response_head_is_counted() {
-    // One read of at most 128 bytes: the head and maybe the start of the
-    // header line.
-    let (failed, executed, shards) = disconnect_then_sweep("HTTP/1.1 200");
-    assert_eq!(failed, 1);
-    assert!(executed >= shards, "pool executed only {executed} shards");
+    for oracle_every in [0, 2] {
+        // One read of at most 128 bytes: the head and maybe the start of
+        // the header line.
+        let (failed, executed, shards) = disconnect_then_sweep("HTTP/1.1 200", oracle_every);
+        assert_eq!(failed, 1, "oracle_every {oracle_every}");
+        assert!(
+            executed >= shards,
+            "oracle_every {oracle_every}: pool executed only {executed} shards"
+        );
+    }
 }
 
 #[test]

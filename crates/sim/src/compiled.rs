@@ -327,12 +327,15 @@ impl CompiledSim {
     ///
     /// Fails on stimulus naming errors or execution errors.
     pub fn run(&mut self, inputs: &[(&str, Stream)], ticks: usize) -> Result<SimRun, SimError> {
-        let ordered = self.ordered(inputs)?;
-        let stim = rows_padded_with_absence(&ordered, ticks);
-        self.ready.reset();
-        let mut trace = self.ready.run(&stim)?;
-        Self::echo_inputs(&mut trace, inputs, ticks);
-        Ok(SimRun { trace, ticks })
+        self.run_scenario(&BatchScenario::new(inputs, ticks))
+    }
+
+    /// Resolves a scenario's lane-local faults to kernel fault specs.
+    fn lane_faults(&self, sc: &BatchScenario<'_>) -> Vec<FaultSpec> {
+        sc.faults
+            .iter()
+            .map(|(name, kind)| self.fault_spec(name, kind.clone()))
+            .collect()
     }
 
     /// Runs every scenario as one lane of a batched execution, returning one
@@ -353,15 +356,8 @@ impl CompiledSim {
             stimuli.push(rows_padded_with_absence(&ordered, sc.ticks));
         }
         let traces = if scenarios.iter().any(|sc| !sc.faults.is_empty()) {
-            let lane_faults: Vec<Vec<FaultSpec>> = scenarios
-                .iter()
-                .map(|sc| {
-                    sc.faults
-                        .iter()
-                        .map(|(name, kind)| self.fault_spec(name, kind.clone()))
-                        .collect()
-                })
-                .collect();
+            let lane_faults: Vec<Vec<FaultSpec>> =
+                scenarios.iter().map(|sc| self.lane_faults(sc)).collect();
             self.ready.run_batch_with_faults(&stimuli, &lane_faults)?
         } else {
             self.ready.run_batch(&stimuli)?
@@ -377,6 +373,27 @@ impl CompiledSim {
                 }
             })
             .collect())
+    }
+
+    /// Runs one [`BatchScenario`] alone on this handle, from the initial
+    /// state: the run (or error) that scenario gets as a lane of
+    /// [`CompiledSim::run_batch`] with vectorization off, its own faults
+    /// on top of the installed ones. The handle's network is reused, not
+    /// cloned, so checking a batch lane by lane costs no copy per lane;
+    /// the installed faults are left as they were.
+    ///
+    /// # Errors
+    ///
+    /// As [`CompiledSim::run_batch`] for a one-lane batch.
+    pub fn run_scenario(&mut self, sc: &BatchScenario<'_>) -> Result<SimRun, SimError> {
+        let ordered = self.ordered(sc.inputs)?;
+        let stim = rows_padded_with_absence(&ordered, sc.ticks);
+        let mut trace = self.ready.run_lane(&stim, &self.lane_faults(sc))?;
+        Self::echo_inputs(&mut trace, sc.inputs, sc.ticks);
+        Ok(SimRun {
+            trace,
+            ticks: sc.ticks,
+        })
     }
 
     /// The discrete-state coverage layout of the compiled model: one site
@@ -427,15 +444,7 @@ impl CompiledSim {
             .map(|_| CoverageMap::new(layout.clone()))
             .collect();
         let lane_faults: Vec<Vec<FaultSpec>> = if scenarios.iter().any(|sc| !sc.faults.is_empty()) {
-            scenarios
-                .iter()
-                .map(|sc| {
-                    sc.faults
-                        .iter()
-                        .map(|(name, kind)| self.fault_spec(name, kind.clone()))
-                        .collect()
-                })
-                .collect()
+            scenarios.iter().map(|sc| self.lane_faults(sc)).collect()
         } else {
             Vec::new()
         };
@@ -660,6 +669,39 @@ mod tests {
             assert_eq!(batch[i], single, "lane {i}");
         }
         sim.clear_faults();
+    }
+
+    #[test]
+    fn run_scenario_on_one_handle_matches_every_batch_lane() {
+        let (m, id) = gain_model();
+        // An installed fault under every lane, plus lane-local ones.
+        let mut sim = CompiledSim::new(&m, id)
+            .unwrap()
+            .with_faults(&[("u", FaultKind::Delay(1))])
+            .unwrap();
+        let streams: Vec<Stream> = (0..4u64)
+            .map(|seed| stimulus::seeded_random(-2.0, 2.0, 10, seed))
+            .collect();
+        let inputs: Vec<[(&str, Stream); 1]> = streams.iter().map(|s| [("u", s.clone())]).collect();
+        let scenarios: Vec<BatchScenario<'_>> = inputs
+            .iter()
+            .enumerate()
+            .map(|(i, inp)| {
+                let sc = BatchScenario::new(inp.as_slice(), 6 + i);
+                match i {
+                    1 => sc.with_fault("y", FaultKind::drop_every(2, 0)),
+                    2 => sc.with_fault("y", FaultKind::Jitter { seed: 5, hold: 0.5 }),
+                    _ => sc,
+                }
+            })
+            .collect();
+        let batch = sim.run_batch(&scenarios).unwrap();
+        for (i, sc) in scenarios.iter().enumerate() {
+            assert_eq!(sim.run_scenario(sc).unwrap(), batch[i], "lane {i}");
+        }
+        // The installed fault plan survives the lane-local ones.
+        let installed = sim.run(scenarios[0].inputs, 6).unwrap();
+        assert_eq!(installed, batch[0]);
     }
 
     #[test]
