@@ -9,7 +9,7 @@
 //! * `cached` — the service hot path: every request submits the *same*
 //!   model text, so after one warm-up miss each sweep is a
 //!   sharded-cache hit sharing one `CompiledSim`, with K = 32-lane
-//!   batch shards fanned across the work-stealing pool.
+//!   batch shards fanned across the worker pool.
 //!
 //! Both sides sweep the same scenario count and tick horizon through
 //! the same chunked-ndjson streaming path (including the sampled

@@ -32,8 +32,8 @@ pub struct LaneOutcome {
 }
 
 /// Executes scenario populations and scores them. [`DirectRunner`] runs
-/// in-process; the sweep service runs populations through its
-/// work-stealing pool behind the same trait.
+/// in-process; the sweep service runs populations through its worker
+/// pool behind the same trait.
 pub trait PopulationRunner {
     /// The coverage layout all outcome maps share.
     fn layout(&self) -> Arc<CoverageLayout>;
@@ -137,16 +137,14 @@ impl PopulationRunner for DirectRunner {
                     violation: signature_of_report(&self.monitor.check(&run.trace)),
                 })
                 .collect(),
-            // A lane crashed and poisoned the whole batch (the kernel
-            // reports the first error, not which lane raised it). Re-run
-            // each lane alone so healthy lanes still score and the
-            // crashing lanes surface as `error:` findings.
-            Err(_) => scenarios
+            // A lane crashed, and the batch failed as K sequential runs
+            // would: with its lowest failing lane's error and no runs.
+            // Re-run each lane alone so healthy lanes still score and
+            // every crashing lane surfaces as an `error:` finding.
+            Err(_) => batch
                 .iter()
-                .zip(&batch)
-                .map(|(_, lane)| {
-                    let solo = (*self.sim).clone();
-                    match solo.run_batch_covered(std::slice::from_ref(lane)) {
+                .map(
+                    |lane| match self.sim.run_batch_covered(std::slice::from_ref(lane)) {
                         Ok((runs, mut coverage)) => LaneOutcome {
                             coverage: coverage.pop().expect("one lane in, one map out"),
                             violation: signature_of_report(&self.monitor.check(&runs[0].trace)),
@@ -155,8 +153,8 @@ impl PopulationRunner for DirectRunner {
                             coverage: CoverageMap::new(self.layout.clone()),
                             violation: Some(signature_of_error(&e)),
                         },
-                    }
-                })
+                    },
+                )
                 .collect(),
         }
     }
@@ -446,5 +444,94 @@ pub fn explore(
         total_transitions: layout.total_transitions(),
         generations,
         repros: repros.into_values().collect(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::Stim;
+
+    /// An MTD that passes `u` through in mode `Low` and computes
+    /// `1 / (u - 2)` in mode `High`, entered while `u > 1`.
+    const CRASH_MODEL: &str = "model crash
+
+component Pass {
+  in u: float
+  out y: float
+  expr y = (u * 1.0)
+}
+
+component Invert {
+  in u: float
+  out y: float
+  expr y = (1.0 / (u - 2.0))
+}
+
+component Top {
+  in u: float
+  out y: float
+  mtd initial Low {
+    mode Low: Pass
+    mode High: Invert
+    trans Low -> High prio 0 when (u > 1.0)
+    trans High -> Low prio 0 when (u <= 1.0)
+  }
+}
+
+root Top
+";
+
+    fn scenario(stim: Stim) -> Scenario {
+        Scenario {
+            ticks: 8,
+            inputs: vec![("u".to_string(), stim)],
+            faults: Vec::new(),
+        }
+    }
+
+    fn same_coverage(a: &CoverageMap, b: &CoverageMap) -> bool {
+        a.new_states_vs(b) == 0
+            && b.new_states_vs(a) == 0
+            && a.new_transitions_vs(b) == 0
+            && b.new_transitions_vs(a) == 0
+    }
+
+    #[test]
+    fn a_crashing_lane_scores_an_error_and_the_rest_score_as_solo_runs() {
+        let model = automode_core::text::from_text(CRASH_MODEL).unwrap();
+        let runner = DirectRunner::new(Arc::new(CompiledSim::new_root(&model).unwrap()));
+        let population = vec![
+            scenario(Stim::ConstFloat(0.5)),
+            // Enters `High` with u = 2 and divides by zero.
+            scenario(Stim::ConstFloat(2.0)),
+            scenario(Stim::Step {
+                before: 0.5,
+                after: 3.0,
+                at: 3,
+            }),
+            scenario(Stim::Step {
+                before: 3.0,
+                after: 0.5,
+                at: 4,
+            }),
+        ];
+        let outcomes = runner.run(&population);
+        assert_eq!(outcomes.len(), population.len());
+        for (l, (outcome, sc)) in outcomes.iter().zip(&population).enumerate() {
+            let solo = runner.run(std::slice::from_ref(sc)).pop().unwrap();
+            assert_eq!(outcome.violation, solo.violation, "lane {l}");
+            assert!(same_coverage(&outcome.coverage, &solo.coverage), "lane {l}");
+            let crashed = outcome
+                .violation
+                .as_deref()
+                .is_some_and(|v| v.starts_with("error:"));
+            assert_eq!(crashed, l == 1, "lane {l}: {:?}", outcome.violation);
+        }
+        let error = outcomes[1].violation.as_deref().unwrap();
+        assert!(error.contains("division by zero"), "{error}");
+        // The lanes that switch modes covered more than the one that
+        // stays in `Low`.
+        assert!(outcomes[2].coverage.states_covered() > outcomes[0].coverage.states_covered());
     }
 }

@@ -736,7 +736,7 @@ pub struct ReadyNetwork {
 }
 
 // Batch handles cross thread pools: the sweep service shares one prepared
-// network across work-stealing workers (`run_batch` takes `&self`) and
+// network across its pool workers (`run_batch` takes `&self`) and
 // ships clones to oracle threads. Keep that a compile-time guarantee.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}

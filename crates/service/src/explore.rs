@@ -4,13 +4,14 @@
 //! handler reuses the sweep infrastructure end to end: the compiled-model
 //! cache hands back the shared [`CompiledSim`], and every generation's
 //! population is sharded into `lanes`-wide chunks executed on the
-//! work-stealing pool behind the explorer's
+//! worker pool behind the explorer's
 //! [`PopulationRunner`](automode_explore::PopulationRunner) trait. Results
 //! stream back as ndjson: a header line, one line per generation with the
 //! cumulative coverage and its delta, one line per shrunk violation
 //! repro (scenario JSON + golden trace inline), and a done line.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, Receiver};
+use std::sync::Arc;
 
 use automode_core::json::{Json, JsonWriter};
 use automode_core::model::{ComponentId, Model};
@@ -22,7 +23,7 @@ use automode_explore::{
 use automode_kernel::CoverageLayout;
 use automode_sim::CompiledSim;
 
-use crate::pool::{Job, WorkerPool};
+use crate::pool::WorkerPool;
 use crate::ServiceError;
 
 /// Hard ceiling on generations per request.
@@ -189,9 +190,10 @@ impl ExploreSpec {
     }
 }
 
-/// [`PopulationRunner`] over the service's work-stealing pool: each
-/// generation is split into `lanes`-wide shards, one pool job each, and
-/// reassembled in population order.
+/// [`PopulationRunner`] over the service's worker pool: each generation
+/// is split into `lanes`-wide shards, one pool job each, whose outcomes
+/// come back over one channel per shard and are concatenated in shard
+/// (so population) order.
 pub struct PoolRunner<'a> {
     inner: Arc<DirectRunner>,
     pool: &'a WorkerPool,
@@ -215,35 +217,23 @@ impl PopulationRunner for PoolRunner<'_> {
     }
 
     fn run(&self, scenarios: &[Scenario]) -> Vec<LaneOutcome> {
-        let shards: Vec<Vec<Scenario>> = scenarios.chunks(self.lanes).map(<[_]>::to_vec).collect();
-        let n = shards.len();
-        type Slots = (Mutex<(usize, Vec<Option<Vec<LaneOutcome>>>)>, Condvar);
-        let slots: Arc<Slots> = Arc::new((
-            Mutex::new((0, (0..n).map(|_| None).collect())),
-            Condvar::new(),
-        ));
-        let jobs = shards.into_iter().enumerate().map(|(i, chunk)| {
-            let inner = self.inner.clone();
-            let slots = slots.clone();
-            Box::new(move || {
-                let out = inner.run(&chunk);
-                let (lock, ready) = &*slots;
-                let mut st = lock.lock().expect("explore shard slots poisoned");
-                st.1[i] = Some(out);
-                st.0 += 1;
-                ready.notify_all();
-            }) as Job
-        });
-        self.pool.submit_shards(jobs);
-        // Block the connection-handler thread (never a pool worker) until
-        // every shard lands; shard order restores population order.
-        let (lock, ready) = &*slots;
-        let mut st = lock.lock().expect("explore shard slots poisoned");
-        while st.0 < n {
-            st = ready.wait(st).expect("explore shard slots poisoned");
-        }
-        st.1.iter_mut()
-            .flat_map(|slot| slot.take().expect("all shards completed"))
+        let shards: Vec<Receiver<Vec<LaneOutcome>>> = scenarios
+            .chunks(self.lanes)
+            .map(|chunk| {
+                let chunk = chunk.to_vec();
+                let inner = self.inner.clone();
+                let (tx, rx) = mpsc::channel();
+                self.pool.submit(move || {
+                    let _ = tx.send(inner.run(&chunk));
+                });
+                rx
+            })
+            .collect();
+        // Block the connection-handler thread (never a pool worker) on
+        // each shard in turn; shard order restores population order.
+        shards
+            .into_iter()
+            .flat_map(|rx| rx.recv().expect("an explore shard sends its outcomes"))
             .collect()
     }
 }

@@ -1,27 +1,30 @@
 //! The hand-rolled HTTP/1.1 server.
 //!
-//! std-only: a [`TcpListener`] accept loop feeding a bounded queue of
-//! connections drained by a fixed pool of handler threads. Each request
+//! std-only: a [`TcpListener`] accept loop feeding a bounded
+//! [`sync_channel`] of connections drained by a fixed set of handler
+//! threads; accept blocks while the channel is full. Each request
 //! gets one response and the connection closes (`Connection: close`) —
 //! keep-alive buys little when a single sweep response carries thousands
 //! of scenario lines.
 //!
 //! `POST /sweep` is the hot path: parse spec → sharded compiled-model
-//! cache ([`ModelCache`]) → work-stealing pool ([`WorkerPool`]) → ordered
+//! cache ([`ModelCache`]) → worker pool ([`WorkerPool`]) → ordered
 //! chunked ndjson stream (header line, one line per scenario, done
 //! line). `GET /stats` reports cache/pool/latency counters and
 //! `GET /healthz` is a liveness probe.
 //!
 //! Graceful shutdown drains: the accept loop stops (woken by a loopback
-//! self-connect), already-accepted connections are served to completion
-//! — including their full result streams — and only then does the worker
-//! pool wind down. The no-truncated-streams test rides on this order.
+//! self-connect) and drops the channel's sender, the handlers serve every
+//! connection still queued to completion — including their full result
+//! streams — and exit when the channel is empty, and only then does the
+//! worker pool wind down. The no-truncated-streams tests ride on this
+//! order.
 
-use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -37,18 +40,18 @@ use crate::ServiceError;
 
 /// Maximum accepted request-header block size.
 const MAX_HEADER: usize = 16 * 1024;
+/// Accepted connections waiting for a handler before accept blocks.
+const CONN_BACKLOG: usize = 64;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Simulation worker threads in the work-stealing pool.
+    /// Simulation worker threads in the pool.
     pub workers: usize,
     /// Connection-handler threads (each drives one response at a time).
     pub conn_threads: usize,
-    /// Pending accepted connections before the accept loop blocks.
-    pub conn_backlog: usize,
     /// Compiled-model cache shards.
     pub cache_shards: usize,
     /// Compiled-model cache capacity (entries, across all shards).
@@ -58,8 +61,6 @@ pub struct ServerConfig {
     /// Differential-oracle sampling period N in shards: shards 0, N, 2N,
     /// … of every sweep are re-run (`0` disables).
     pub oracle_every: usize,
-    /// Per-connection reorder-buffer capacity in shards.
-    pub queue_cap: usize,
 }
 
 impl Default for ServerConfig {
@@ -71,12 +72,10 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: cpus,
             conn_threads: 4,
-            conn_backlog: 64,
             cache_shards: 16,
             cache_capacity: 64,
             max_body: 1024 * 1024,
             oracle_every: 16,
-            queue_cap: 8,
         }
     }
 }
@@ -96,9 +95,6 @@ struct Shared {
     oracle_shards: AtomicU64,
     oracle_divergences: AtomicU64,
     shutdown: AtomicBool,
-    conns: Mutex<VecDeque<TcpStream>>,
-    conn_ready: Condvar,
-    conn_space: Condvar,
 }
 
 /// A running sweep server; dropping or [`Server::shutdown`] stops it
@@ -130,17 +126,17 @@ pub fn serve(config: ServerConfig) -> std::io::Result<Server> {
         oracle_shards: AtomicU64::new(0),
         oracle_divergences: AtomicU64::new(0),
         shutdown: AtomicBool::new(false),
-        conns: Mutex::new(VecDeque::new()),
-        conn_ready: Condvar::new(),
-        conn_space: Condvar::new(),
         cfg: config,
     });
+    let (conn_tx, conn_rx) = sync_channel(CONN_BACKLOG);
+    let conn_rx = Arc::new(Mutex::new(conn_rx));
     let handlers = (0..shared.cfg.conn_threads.max(1))
         .map(|i| {
             let shared = shared.clone();
+            let conn_rx = conn_rx.clone();
             std::thread::Builder::new()
                 .name(format!("sweep-conn-{i}"))
-                .spawn(move || handler_loop(&shared))
+                .spawn(move || handler_loop(&shared, &conn_rx))
                 .expect("spawn connection handler")
         })
         .collect();
@@ -148,7 +144,7 @@ pub fn serve(config: ServerConfig) -> std::io::Result<Server> {
         let shared = shared.clone();
         std::thread::Builder::new()
             .name("sweep-accept".to_string())
-            .spawn(move || accept_loop(&listener, &shared))
+            .spawn(move || accept_loop(&listener, &shared, &conn_tx))
             .expect("spawn accept loop")
     };
     Ok(Server {
@@ -177,16 +173,13 @@ impl Server {
             return;
         }
         // Unblock the accept loop with a throwaway loopback connection;
-        // it sees the flag and exits without queueing the socket.
+        // it sees the flag and exits without queueing the socket, which
+        // drops the channel's sender.
         let _ = TcpStream::connect(self.addr);
         if let Some(a) = self.accept.take() {
             let _ = a.join();
         }
-        // Wake handlers; they drain the queue, then exit on empty+flag.
-        {
-            let _g = self.shared.conns.lock().expect("conn queue poisoned");
-            self.shared.conn_ready.notify_all();
-        }
+        // The handlers serve what is still queued, then exit.
         for h in self.handlers.drain(..) {
             let _ = h.join();
         }
@@ -201,36 +194,24 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Shared) {
+fn accept_loop(listener: &TcpListener, shared: &Shared, conns: &SyncSender<TcpStream>) {
     for conn in listener.incoming() {
         if shared.shutdown.load(Relaxed) {
             return;
         }
         let Ok(conn) = conn else { continue };
-        let mut q = shared.conns.lock().expect("conn queue poisoned");
-        while q.len() >= shared.cfg.conn_backlog {
-            q = shared.conn_space.wait(q).expect("conn queue poisoned");
-        }
-        q.push_back(conn);
-        shared.conn_ready.notify_one();
+        // Blocks while CONN_BACKLOG connections wait. The handlers hold
+        // the receiver until this sender drops, so the send cannot fail.
+        let _ = conns.send(conn);
     }
 }
 
-fn handler_loop(shared: &Arc<Shared>) {
+fn handler_loop(shared: &Arc<Shared>, conns: &Mutex<Receiver<TcpStream>>) {
     loop {
-        let conn = {
-            let mut q = shared.conns.lock().expect("conn queue poisoned");
-            loop {
-                if let Some(c) = q.pop_front() {
-                    shared.conn_space.notify_one();
-                    break c;
-                }
-                if shared.shutdown.load(Relaxed) {
-                    return;
-                }
-                q = shared.conn_ready.wait(q).expect("conn queue poisoned");
-            }
-        };
+        // The guard is dropped at the end of this statement, so another
+        // handler can take the next connection while this one serves.
+        let conn = conns.lock().expect("connection queue poisoned").recv();
+        let Ok(conn) = conn else { return };
         handle_conn(shared, conn);
     }
 }
@@ -478,7 +459,6 @@ fn handle_sweep(shared: &Arc<Shared>, stream: &mut TcpStream, body: &str) {
 
     let opts = ExecOpts {
         oracle_every: shared.cfg.oracle_every,
-        queue_cap: shared.cfg.queue_cap,
     };
     let result = execute(&spec, &sim, &shared.pool, opts, &mut |line| {
         write_chunk(stream, &mut chunk, line)
@@ -605,7 +585,6 @@ fn stats_body(shared: &Shared) -> String {
     w.begin_object();
     w.field("workers").uint(pool.workers as u64);
     w.field("executed").uint(pool.executed);
-    w.field("steals").uint(pool.steals);
     w.end_object();
     w.field("sweeps");
     w.begin_object();

@@ -13,13 +13,13 @@
 //!    concurrent sweeps of the same model share one
 //!    [`CompiledSim`](automode_sim::CompiledSim) (its `run_batch` takes
 //!    `&self`, and the kernel guarantees `Send + Sync`).
-//! 2. A **work-stealing worker pool** ([`pool`]) — per-worker deques plus
-//!    a global injector over std threads/`Mutex`/`Condvar` — that shards
-//!    each sweep's scenarios into K-lane typed batches (K ≥ 8, per the
-//!    PR 6 lane-cost finding) and runs them through `run_batch`,
-//!    streaming per-scenario results back over chunked HTTP responses
-//!    with bounded per-connection queues for backpressure ([`sweep`],
-//!    [`http`]).
+//! 2. A **worker pool** ([`pool`]) — std threads taking jobs oldest-first
+//!    from one `mpsc` queue — that runs each sweep's scenarios as K-lane
+//!    typed batches (the lane cost amortizes from K = 8 up) through
+//!    `run_batch`. Each shard's output comes back over its own channel,
+//!    and the connection thread streams the per-scenario results in
+//!    order over a chunked HTTP response, with at most a fixed window of
+//!    shards in flight for backpressure ([`sweep`], [`http`]).
 //!
 //! A sampled **live differential oracle** re-runs shards 0, 16, 32, … of
 //! every sweep (so always its first shard) with batch vectorization

@@ -1,32 +1,23 @@
-//! The work-stealing worker pool.
+//! The worker pool.
 //!
-//! Per-worker deques plus a global injector, all over std primitives —
-//! no crossbeam in the offline workspace. Submitters either drop jobs
-//! into the injector ([`WorkerPool::submit`]) or round-robin them across
-//! the worker-local deques ([`WorkerPool::submit_shards`], the sweep
-//! sharding path — it pre-spreads a burst of similar-cost shards so
-//! workers start without contending on one queue). An idle worker pops
-//! its own deque first, then the injector, then steals from siblings —
-//! always the oldest job first, so one worker runs a sweep's shards in
-//! the order the response writer emits them.
+//! One FIFO job queue shared by every worker: a std `mpsc` channel whose
+//! receiver the workers take turns on. A job therefore starts only after
+//! every job submitted before it has started, so the workers run a
+//! sweep's shards in the order the response writer emits them. Jobs are
+//! sweep and explore shards of a millisecond or more, so the one queue
+//! lock sees no contention worth splitting it for.
 //!
-//! The sleep protocol is the standard race-free Condvar shape: a worker
-//! that finds every queue empty takes the sleep lock, **re-checks** the
-//! queues while holding it, and only then waits; every producer pushes
-//! its job first and then takes the same lock to notify. A push can
-//! therefore never slip between a worker's last check and its wait.
-//!
-//! Shutdown is draining by construction: the flag only stops workers
-//! from *sleeping*; a worker exits when the flag is set **and** every
-//! queue is empty, so all submitted jobs run before `join` returns.
+//! Shutdown is draining by construction: dropping the pool's sender
+//! disconnects the channel only after every queued job has been received,
+//! so all submitted jobs run before `join` returns.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// A unit of pool work.
-pub type Job = Box<dyn FnOnce() + Send + 'static>;
+type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// Counters snapshot returned by [`WorkerPool::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -35,73 +26,13 @@ pub struct PoolStats {
     pub workers: usize,
     /// Jobs executed to completion.
     pub executed: u64,
-    /// Jobs a worker took from a sibling's deque.
-    pub steals: u64,
 }
 
-struct PoolShared {
-    injector: Mutex<VecDeque<Job>>,
-    locals: Vec<Mutex<VecDeque<Job>>>,
-    sleep: Mutex<()>,
-    wake: Condvar,
-    shutdown: AtomicBool,
-    executed: AtomicU64,
-    steals: AtomicU64,
-    /// Round-robin cursor for `submit_shards`.
-    next_local: AtomicUsize,
-}
-
-impl PoolShared {
-    fn any_work(&self) -> bool {
-        if !self.injector.lock().expect("injector poisoned").is_empty() {
-            return true;
-        }
-        self.locals
-            .iter()
-            .any(|l| !l.lock().expect("local deque poisoned").is_empty())
-    }
-
-    /// Pop one job for worker `me`, oldest first: own deque → injector →
-    /// steal. Popping the own deque from the front means a worker runs
-    /// `submit_shards` jobs in submission order, so the shard the writer
-    /// needs next is never queued behind later ones.
-    fn pop(&self, me: usize) -> Option<Job> {
-        if let Some(j) = self.locals[me]
-            .lock()
-            .expect("local deque poisoned")
-            .pop_front()
-        {
-            return Some(j);
-        }
-        if let Some(j) = self.injector.lock().expect("injector poisoned").pop_front() {
-            return Some(j);
-        }
-        for off in 1..self.locals.len() {
-            let victim = (me + off) % self.locals.len();
-            if let Some(j) = self.locals[victim]
-                .lock()
-                .expect("local deque poisoned")
-                .pop_front()
-            {
-                self.steals.fetch_add(1, Relaxed);
-                return Some(j);
-            }
-        }
-        None
-    }
-
-    fn notify(&self) {
-        // Taking the sleep lock orders this notify after any sleeper's
-        // re-check; without it the wakeup could land in the gap between a
-        // worker's empty-check and its wait.
-        let _g = self.sleep.lock().expect("sleep lock poisoned");
-        self.wake.notify_all();
-    }
-}
-
-/// A fixed-size work-stealing thread pool.
+/// A fixed-size thread pool over one FIFO job queue.
 pub struct WorkerPool {
-    shared: Arc<PoolShared>,
+    /// Taken on drop, which disconnects the workers' queue.
+    jobs: Option<Sender<Job>>,
+    executed: Arc<AtomicU64>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -110,8 +41,8 @@ impl std::fmt::Debug for WorkerPool {
         let s = self.stats();
         write!(
             f,
-            "WorkerPool {{ workers: {}, executed: {}, steals: {} }}",
-            s.workers, s.executed, s.steals
+            "WorkerPool {{ workers: {}, executed: {} }}",
+            s.workers, s.executed
         )
     }
 }
@@ -120,111 +51,73 @@ impl WorkerPool {
     /// Spawns a pool of `workers` threads (clamped to at least 1).
     pub fn new(workers: usize) -> WorkerPool {
         let workers = workers.max(1);
-        let shared = Arc::new(PoolShared {
-            injector: Mutex::new(VecDeque::new()),
-            locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            sleep: Mutex::new(()),
-            wake: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            executed: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            next_local: AtomicUsize::new(0),
-        });
+        let (jobs, queue) = mpsc::channel::<Job>();
+        let queue = Arc::new(Mutex::new(queue));
+        let executed = Arc::new(AtomicU64::new(0));
         let threads = (0..workers)
             .map(|me| {
-                let shared = shared.clone();
+                let queue = queue.clone();
+                let executed = executed.clone();
                 std::thread::Builder::new()
                     .name(format!("sweep-worker-{me}"))
-                    .spawn(move || worker_loop(&shared, me))
+                    .spawn(move || worker_loop(&queue, &executed))
                     .expect("spawn pool worker")
             })
             .collect();
-        WorkerPool { shared, threads }
+        WorkerPool {
+            jobs: Some(jobs),
+            executed,
+            threads,
+        }
     }
 
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
-        self.shared.locals.len()
+        self.threads.len()
     }
 
-    /// Queues one job on the global injector.
+    /// Queues one job behind every job submitted before it.
     pub fn submit<F: FnOnce() + Send + 'static>(&self, job: F) {
-        self.shared
-            .injector
-            .lock()
-            .expect("injector poisoned")
-            .push_back(Box::new(job));
-        self.shared.notify();
-    }
-
-    /// Queues a burst of jobs round-robin across the worker-local deques.
-    ///
-    /// This is the sweep-shard path: spreading the burst up front lets
-    /// every worker start on a distinct shard without first contending on
-    /// the injector; the stealing protocol rebalances any skew.
-    pub fn submit_shards<I>(&self, jobs: I)
-    where
-        I: IntoIterator<Item = Job>,
-    {
-        for job in jobs {
-            let idx = self.shared.next_local.fetch_add(1, Relaxed) % self.shared.locals.len();
-            self.shared.locals[idx]
-                .lock()
-                .expect("local deque poisoned")
-                .push_back(job);
-        }
-        self.shared.notify();
+        let jobs = self.jobs.as_ref().expect("the sender lives until drop");
+        // The workers hold the receiver until the sender drops, so this
+        // cannot fail.
+        let _ = jobs.send(Box::new(job));
     }
 
     /// Counters snapshot.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
-            workers: self.shared.locals.len(),
-            executed: self.shared.executed.load(Relaxed),
-            steals: self.shared.steals.load(Relaxed),
+            workers: self.threads.len(),
+            executed: self.executed.load(Relaxed),
         }
     }
 
-    /// Signals shutdown and joins every worker after all queued jobs have
-    /// drained. Jobs submitted after this call may be silently dropped.
-    pub fn shutdown(mut self) {
-        self.shared.shutdown.store(true, Relaxed);
-        self.shared.notify();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+    /// Runs every queued job, then joins the workers.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        // A dropped (not explicitly shut down) pool still drains and joins
-        // so tests can't leak runaway threads.
-        self.shared.shutdown.store(true, Relaxed);
-        self.shared.notify();
+        // Disconnecting the channel ends each worker once the queue is
+        // empty, so a dropped pool drains and joins like a shut-down one
+        // and tests can't leak runaway threads.
+        self.jobs = None;
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
     }
 }
 
-fn worker_loop(shared: &PoolShared, me: usize) {
+fn worker_loop(queue: &Mutex<Receiver<Job>>, executed: &AtomicU64) {
     loop {
-        if let Some(job) = shared.pop(me) {
-            job();
-            shared.executed.fetch_add(1, Relaxed);
-            continue;
-        }
-        // Queues looked empty. Take the sleep lock, re-check, and either
-        // exit (shutdown + drained), retry (work raced in), or wait.
-        let guard = shared.sleep.lock().expect("sleep lock poisoned");
-        if shared.any_work() {
-            continue;
-        }
-        if shared.shutdown.load(Relaxed) {
-            return;
-        }
-        let _unused = shared.wake.wait(guard).expect("sleep lock poisoned");
+        // The guard is dropped at the end of this statement, so the next
+        // worker can take a job while this one runs.
+        let job = queue.lock().expect("job queue poisoned").recv();
+        let Ok(job) = job else { return };
+        job();
+        executed.fetch_add(1, Relaxed);
     }
 }
 
@@ -249,28 +142,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_burst_drains_and_rebalances() {
-        let pool = WorkerPool::new(4);
-        let done = Arc::new(AtomicUsize::new(0));
-        // Skewed costs: worker 0's deque gets the slow jobs round-robin,
-        // so finishing quickly requires stealing.
-        let jobs: Vec<Job> = (0..64)
-            .map(|i| {
-                let done = done.clone();
-                Box::new(move || {
-                    if i % 4 == 0 {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    done.fetch_add(1, Relaxed);
-                }) as Job
-            })
-            .collect();
-        pool.submit_shards(jobs);
-        pool.shutdown();
-        assert_eq!(done.load(Relaxed), 64);
-    }
-
-    #[test]
     fn one_worker_runs_shards_in_submission_order() {
         let pool = WorkerPool::new(1);
         // Park the only worker so the whole burst is queued before any of
@@ -283,16 +154,44 @@ mod tests {
         });
         started.recv().expect("worker started");
         let order = Arc::new(Mutex::new(Vec::new()));
-        let jobs: Vec<Job> = (0..8)
-            .map(|i| {
-                let order = order.clone();
-                Box::new(move || order.lock().unwrap().push(i)) as Job
-            })
-            .collect();
-        pool.submit_shards(jobs);
+        for i in 0..8 {
+            let order = order.clone();
+            pool.submit(move || order.lock().unwrap().push(i));
+        }
         release.send(()).unwrap();
         pool.shutdown();
         assert_eq!(*order.lock().unwrap(), (0..8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn two_workers_start_jobs_in_submission_order() {
+        let pool = WorkerPool::new(2);
+        // Each job reports its start, then blocks until released.
+        let (started_tx, started) = std::sync::mpsc::channel::<usize>();
+        let releases: Vec<std::sync::mpsc::Sender<()>> = (0..8)
+            .map(|i| {
+                let (release, gate) = std::sync::mpsc::channel::<()>();
+                let started_tx = started_tx.clone();
+                pool.submit(move || {
+                    started_tx.send(i).expect("report start");
+                    let _ = gate.recv();
+                });
+                release
+            })
+            .collect();
+        let mut first = [started.recv().unwrap(), started.recv().unwrap()];
+        first.sort_unstable();
+        assert_eq!(first, [0, 1]);
+        // Job 0 keeps one worker busy; releasing the job that started
+        // last frees the other, which must start the oldest queued job.
+        let mut last = 1;
+        for want in 2..8 {
+            releases[last].send(()).unwrap();
+            last = started.recv().unwrap();
+            assert_eq!(last, want);
+        }
+        drop(releases);
+        pool.shutdown();
     }
 
     #[test]

@@ -3,16 +3,17 @@
 //! A sweep is `count` scenarios over one compiled model. Scenarios are
 //! generated from per-input stimulus templates whose numeric fields can
 //! scale per scenario (`*_step` knobs), sharded into K-lane batches
-//! (K = `lanes`), and executed by the work-stealing pool through
+//! (K = `lanes`), and executed on the worker pool through
 //! [`CompiledSim::run_batch`] — the typed-SoA fast path from the batch
 //! lanes work.
 //!
-//! Results stream back **in scenario order** through a bounded reorder
-//! buffer ([`StreamBuf`]): shards complete out of order, the buffer
-//! re-sequences them, and its capacity bounds how far execution can run
-//! ahead of a slow client (backpressure). The shard that the writer
-//! needs *next* is always admitted even when the buffer is full —
-//! that exemption is what makes the protocol deadlock-free.
+//! Results stream back **in scenario order**: every shard job sends its
+//! output down its own channel, and the writer (the connection thread)
+//! receives from the oldest shard's channel first. At most
+//! `QUEUE_CAP.max(workers)` shards are in flight; the writer submits the
+//! next one each time it takes one, so this window bounds how far
+//! execution can run ahead of a slow client (backpressure). A worker's
+//! send never blocks, so no pool worker ever waits on a connection.
 //!
 //! A sampled **live differential oracle** re-runs shards 0, N, 2N, …
 //! (N = `oracle_every`) on a clone of the compiled model with batch
@@ -26,15 +27,16 @@
 //! The last shard — so every single-shard request — is checked inline by
 //! its worker.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::VecDeque;
+use std::sync::mpsc::{self, Receiver};
+use std::sync::Arc;
 
 use automode_core::json::{Json, JsonWriter};
 use automode_kernel::{vcd, ContractMonitor, FaultKind, Stream, Value};
 use automode_sim::report::sim_run_to_json;
 use automode_sim::{stimulus, BatchScenario, CompiledSim, SimRun};
 
-use crate::pool::{Job, WorkerPool};
+use crate::pool::WorkerPool;
 use crate::ServiceError;
 
 /// Hard ceiling on scenarios per sweep (memory bound).
@@ -353,7 +355,7 @@ fn parse_fault(item: &Json, idx: usize) -> Result<FaultSpec, ServiceError> {
 }
 
 // ---------------------------------------------------------------------------
-// Ordered streaming with backpressure
+// Execution
 // ---------------------------------------------------------------------------
 
 /// What one shard hands to the writer.
@@ -377,59 +379,9 @@ enum ShardOut {
     Unchecked(Vec<SimRun>),
 }
 
-struct StreamState {
-    next_emit: usize,
-    done: HashMap<usize, ShardOut>,
-}
-
-/// The reorder buffer between pool workers and the response writer.
-///
-/// `push` never blocks — a pool worker must never park on a
-/// per-connection buffer, or a slow client could wedge every worker and
-/// deadlock the shard the writer needs next. Boundedness comes from the
-/// *submitter* instead: [`execute`] keeps at most `window` shards in
-/// flight, so `done` holds at most `window` entries.
-struct StreamBuf {
-    state: Mutex<StreamState>,
-    /// Signalled when a shard lands (writer side waits on this).
-    ready: Condvar,
-}
-
-impl StreamBuf {
-    fn new() -> StreamBuf {
-        StreamBuf {
-            state: Mutex::new(StreamState {
-                next_emit: 0,
-                done: HashMap::new(),
-            }),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Deposits shard `idx`'s output (non-blocking).
-    fn push(&self, idx: usize, out: ShardOut) {
-        let mut st = self.state.lock().expect("stream buffer poisoned");
-        st.done.insert(idx, out);
-        self.ready.notify_all();
-    }
-
-    /// Blocks until shard `next_emit` is available and takes it.
-    fn pop_next(&self) -> ShardOut {
-        let mut st = self.state.lock().expect("stream buffer poisoned");
-        loop {
-            let next = st.next_emit;
-            if let Some(out) = st.done.remove(&next) {
-                st.next_emit += 1;
-                return out;
-            }
-            st = self.ready.wait(st).expect("stream buffer poisoned");
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Execution
-// ---------------------------------------------------------------------------
+/// Shards one sweep keeps in flight when the pool has fewer workers: how
+/// far execution can run ahead of a slow client.
+const QUEUE_CAP: usize = 8;
 
 /// Knobs the server passes into [`execute`].
 #[derive(Debug, Clone, Copy)]
@@ -438,16 +390,11 @@ pub struct ExecOpts {
     /// re-run with vectorization disabled, so the first shard of every
     /// request is checked; `0` disables the oracle.
     pub oracle_every: usize,
-    /// Reorder-buffer capacity in shards (per-connection backpressure).
-    pub queue_cap: usize,
 }
 
 impl Default for ExecOpts {
     fn default() -> Self {
-        ExecOpts {
-            oracle_every: 16,
-            queue_cap: 8,
-        }
+        ExecOpts { oracle_every: 16 }
     }
 }
 
@@ -542,11 +489,11 @@ fn execute_checked(
         }
         o => (o.map(Arc::new), None),
     };
-    let buf = Arc::new(StreamBuf::new());
-    let make_job = |shard_idx: usize| -> Job {
+    // Each shard job sends its output down its own channel; a send never
+    // blocks, so no pool worker ever parks on a connection.
+    let submit = |shard_idx: usize| -> Receiver<ShardOut> {
         let spec = spec.clone();
         let sim = sim.clone();
-        let buf = buf.clone();
         let check = if !oracle_samples(shard_idx, every) {
             ShardCheck::Unsampled
         } else if shard_idx == last {
@@ -554,35 +501,34 @@ fn execute_checked(
         } else {
             ShardCheck::Writer
         };
-        Box::new(move || {
-            let out = run_shard(&spec, &sim, &check, shard_idx);
-            buf.push(shard_idx, out);
-        })
+        let (tx, rx) = mpsc::channel();
+        pool.submit(move || {
+            let _ = tx.send(run_shard(&spec, &sim, &check, shard_idx));
+        });
+        rx
     };
 
     // Backpressure by sliding-window submission: at most `window` shards
-    // are ever in flight, so the reorder buffer — and how far execution
-    // can run ahead of a slow client — is bounded, and no pool worker
-    // ever parks on a per-connection queue. The window never throttles
-    // the pool below full width.
-    let window = opts.queue_cap.max(pool.workers()).max(1);
-    let mut submitted = window.min(shards);
-    pool.submit_shards((0..submitted).map(&make_job));
+    // are ever in flight, so how far execution can run ahead of a slow
+    // client is bounded. The window never throttles the pool below full
+    // width.
+    let window = QUEUE_CAP.max(pool.workers());
+    let mut in_flight: VecDeque<Receiver<ShardOut>> =
+        (0..window.min(shards)).map(&submit).collect();
+    let mut submitted = in_flight.len();
 
-    // This thread (the connection handler) is the writer: it re-sequences
-    // shard outputs, checks the shards handed to it, and pushes the lines
-    // down the socket.
+    // This thread (the connection handler) is the writer: it receives
+    // shard outputs in shard order, checks the shards handed to it, and
+    // pushes the lines down the socket.
     let mut outcome = SweepOutcome {
         scenarios: spec.count,
         shards,
         ..SweepOutcome::default()
     };
     let mut sink_err: Option<std::io::Error> = None;
-    let mut popped = 0;
-    while popped < submitted {
-        let shard_idx = popped;
-        let out = buf.pop_next();
-        popped += 1;
+    let mut shard_idx = 0;
+    while let Some(rx) = in_flight.pop_front() {
+        let out = rx.recv().expect("a shard job sends its output");
         let sent = match out {
             ShardOut::Lines {
                 lines,
@@ -610,13 +556,14 @@ fn execute_checked(
                 }
             }
         };
+        shard_idx += 1;
         if let Err(e) = sent {
             sink_err = Some(e);
         }
         // Refill the window — unless the client is gone, in which case we
         // only drain what is already in flight.
         if sink_err.is_none() && submitted < shards {
-            pool.submit_shards(std::iter::once(make_job(submitted)));
+            in_flight.push_back(submit(submitted));
             submitted += 1;
         }
     }
@@ -913,7 +860,6 @@ mod tests {
         let mut lines = Vec::new();
         let opts = ExecOpts {
             oracle_every: every,
-            queue_cap: 2,
         };
         let outcome = execute_checked(&spec, &compiled(), Some(oracle), &pool, opts, &mut |l| {
             lines.push(l.to_string());
@@ -956,7 +902,6 @@ mod tests {
             assert_eq!(sampled, want, "count {count} lanes {lanes} N {every}");
             let opts = ExecOpts {
                 oracle_every: every,
-                queue_cap: 4,
             };
             let outcome = execute(&spec, &compiled(), &pool, opts, &mut |_| Ok(())).unwrap();
             assert_eq!(outcome.oracle_shards, want.len());
@@ -1082,19 +1027,10 @@ mod tests {
         let sim = compiled();
         let pool = WorkerPool::new(4);
         let mut lines = Vec::new();
-        let outcome = execute(
-            &spec,
-            &sim,
-            &pool,
-            ExecOpts {
-                oracle_every: 2,
-                queue_cap: 2,
-            },
-            &mut |l| {
-                lines.push(l.to_string());
-                Ok(())
-            },
-        )
+        let outcome = execute(&spec, &sim, &pool, ExecOpts { oracle_every: 2 }, &mut |l| {
+            lines.push(l.to_string());
+            Ok(())
+        })
         .unwrap();
         assert_eq!(lines.len(), 37);
         assert_eq!(outcome.scenarios, 37);
@@ -1210,10 +1146,7 @@ mod tests {
             &spec,
             &sim,
             &pool,
-            ExecOpts {
-                oracle_every: 0,
-                queue_cap: 2,
-            },
+            ExecOpts { oracle_every: 0 },
             &mut |_| {
                 emitted += 1;
                 if emitted > 5 {
@@ -1245,10 +1178,7 @@ mod tests {
             &spec,
             &compiled(),
             &pool,
-            ExecOpts {
-                oracle_every: 2,
-                queue_cap: 2,
-            },
+            ExecOpts { oracle_every: 2 },
             &mut |line| {
                 calls += 1;
                 assert!(line.contains("\"result\""), "{line}");

@@ -17,8 +17,8 @@ use std::sync::Arc;
 use automode_core::model::{ComponentId, Model};
 use automode_kernel::network::rows_padded_with_absence;
 use automode_kernel::{
-    ContractMonitor, CoverageLayout, CoverageMap, FaultKind, FaultSpec, PlanInfo, RobustnessReport,
-    Stream,
+    ContractMonitor, CoverageLayout, CoverageMap, FaultKind, FaultSpec, KernelError, Message,
+    PlanInfo, RobustnessReport, Stream, Trace,
 };
 
 use crate::elaborate::elaborate;
@@ -101,10 +101,10 @@ pub struct CompiledSim {
     input_index: HashMap<String, usize>,
 }
 
-// The sweep service shares one compiled handle across a work-stealing
-// worker pool (`run_batch` takes `&self`), so `CompiledSim` must stay
-// `Send + Sync`; this fails to compile the moment a block or plan grows a
-// thread-bound member.
+// The sweep service shares one compiled handle across its worker pool
+// (`run_batch` takes `&self`), so `CompiledSim` must stay `Send + Sync`;
+// this fails to compile the moment a block or plan grows a thread-bound
+// member.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<CompiledSim>();
@@ -350,18 +350,31 @@ impl CompiledSim {
     ///
     /// Fails on stimulus naming errors or execution errors.
     pub fn run_batch(&self, scenarios: &[BatchScenario<'_>]) -> Result<Vec<SimRun>, SimError> {
+        self.run_lanes(scenarios, |stimuli, lane_faults| {
+            self.ready.run_batch_with_faults(stimuli, lane_faults)
+        })
+    }
+
+    /// The batch entry points' shared prologue and epilogue: orders every
+    /// scenario's stimuli, resolves its lane faults (an empty list when no
+    /// lane has any, so the kernel takes its nominal path), runs `batch`
+    /// over them, and echoes each lane's `in:` streams onto its trace.
+    fn run_lanes(
+        &self,
+        scenarios: &[BatchScenario<'_>],
+        batch: impl FnOnce(&[Vec<Vec<Message>>], &[Vec<FaultSpec>]) -> Result<Vec<Trace>, KernelError>,
+    ) -> Result<Vec<SimRun>, SimError> {
         let mut stimuli = Vec::with_capacity(scenarios.len());
         for sc in scenarios {
             let ordered = self.ordered(sc.inputs)?;
             stimuli.push(rows_padded_with_absence(&ordered, sc.ticks));
         }
-        let traces = if scenarios.iter().any(|sc| !sc.faults.is_empty()) {
-            let lane_faults: Vec<Vec<FaultSpec>> =
-                scenarios.iter().map(|sc| self.lane_faults(sc)).collect();
-            self.ready.run_batch_with_faults(&stimuli, &lane_faults)?
+        let lane_faults: Vec<Vec<FaultSpec>> = if scenarios.iter().any(|sc| !sc.faults.is_empty()) {
+            scenarios.iter().map(|sc| self.lane_faults(sc)).collect()
         } else {
-            self.ready.run_batch(&stimuli)?
+            Vec::new()
         };
+        let traces = batch(&stimuli, &lane_faults)?;
         Ok(traces
             .into_iter()
             .zip(scenarios)
@@ -434,34 +447,14 @@ impl CompiledSim {
         &self,
         scenarios: &[BatchScenario<'_>],
     ) -> Result<(Vec<SimRun>, Vec<CoverageMap>), SimError> {
-        let mut stimuli = Vec::with_capacity(scenarios.len());
-        for sc in scenarios {
-            let ordered = self.ordered(sc.inputs)?;
-            stimuli.push(rows_padded_with_absence(&ordered, sc.ticks));
-        }
         let layout = self.coverage_layout();
         let mut coverage: Vec<CoverageMap> = (0..scenarios.len())
             .map(|_| CoverageMap::new(layout.clone()))
             .collect();
-        let lane_faults: Vec<Vec<FaultSpec>> = if scenarios.iter().any(|sc| !sc.faults.is_empty()) {
-            scenarios.iter().map(|sc| self.lane_faults(sc)).collect()
-        } else {
-            Vec::new()
-        };
-        let traces = self
-            .ready
-            .run_batch_covered(&stimuli, &lane_faults, &mut coverage)?;
-        let runs = traces
-            .into_iter()
-            .zip(scenarios)
-            .map(|(mut trace, sc)| {
-                Self::echo_inputs(&mut trace, sc.inputs, sc.ticks);
-                SimRun {
-                    trace,
-                    ticks: sc.ticks,
-                }
-            })
-            .collect();
+        let runs = self.run_lanes(scenarios, |stimuli, lane_faults| {
+            self.ready
+                .run_batch_covered(stimuli, lane_faults, &mut coverage)
+        })?;
         Ok((runs, coverage))
     }
 }

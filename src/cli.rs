@@ -776,11 +776,10 @@ pub fn cmd_sweep(model_name: &str, count: usize, ticks: usize) -> Result<String,
     let pool = stats.get("pool");
     let _ = writeln!(
         out,
-        "  server: cache {} miss / {} hit, pool {} jobs / {} steals",
+        "  server: cache {} miss / {} hit, pool {} jobs",
         uint(cache.and_then(|c| c.get("misses"))),
         uint(cache.and_then(|c| c.get("hits"))),
-        uint(pool.and_then(|p| p.get("executed"))),
-        uint(pool.and_then(|p| p.get("steals")))
+        uint(pool.and_then(|p| p.get("executed")))
     );
     Ok(out)
 }
@@ -828,7 +827,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                  \n                            baseline; [--repros <dir>] write repro .json + .trace\
                  \n  sweep <model> [n] [ticks] loopback smoke run of the sweep service:\
                  \n                            n scenarios (default 64) through the compiled-model\
-                 \n                            cache + work-stealing batch pool (default 60 ticks)\
+                 \n                            cache + K-lane batch worker pool (default 60 ticks)\
                  \n  serve [addr]              run the scenario-sweep HTTP service until killed\
                  \n                            (default 127.0.0.1:8080)\
                  \n  dot <model>               Graphviz rendering of the root notation\

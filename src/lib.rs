@@ -17,7 +17,7 @@
 //!   Sec. 5, plus the door-lock (Fig. 1) and momentum-controller (Fig. 5)
 //!   models.
 //! * [`service`] — the scenario-sweep service: HTTP/JSON API over a
-//!   sharded compiled-model cache and a work-stealing K-lane batch pool.
+//!   sharded compiled-model cache and a K-lane batch worker pool.
 //!
 //! See `examples/quickstart.rs` for a tour and `DESIGN.md` / `EXPERIMENTS.md`
 //! for the experiment index.
