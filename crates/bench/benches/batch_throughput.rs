@@ -26,7 +26,8 @@
 //! cross-checked for batch == sequential correctness before timing, but
 //! not timed.
 //!
-//! Writes `BENCH_batch.json` at the repository root with
+//! Writes `BENCH_batch.json` at the repository root
+//! (under `target/bench-quick/` in quick mode) with
 //! scenarios/second per strategy and the pairwise speedups, per shape,
 //! for K in {1, 8, 32, 128}.
 //!
@@ -223,7 +224,7 @@ fn report_k(shape: &str, k: usize, fresh: f64, reuse: f64, batch: f64) {
 }
 
 fn main() {
-    let quick = std::env::var("AUTOMODE_BENCH_QUICK").is_ok_and(|v| v == "1");
+    let quick = automode_bench::quick_mode();
     let (ticks, rounds, ks): (usize, usize, &[usize]) = if quick {
         (60, 2, &[1, 8, 32])
     } else {
@@ -305,9 +306,7 @@ fn main() {
     }
     json.push_str("  }\n}\n");
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_batch.json");
-    std::fs::write(path, &json).expect("write BENCH_batch.json");
-    println!("wrote {path}");
+    automode_bench::write_results("BENCH_batch.json", &json);
 
     if std::env::var("AUTOMODE_BENCH_ENFORCE").is_ok_and(|v| v == "1") {
         let mut ok = true;

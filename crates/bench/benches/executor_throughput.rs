@@ -6,7 +6,8 @@
 //! * `multirate` — when/delay/current chains on mixed clocks.
 //!
 //! Besides the criterion-style console report, the run writes
-//! `BENCH_executor.json` at the repository root with before/after
+//! `BENCH_executor.json` at the repository root
+//! (under `target/bench-quick/` in quick mode) with before/after
 //! ticks-per-second and the speedup per shape (acceptance gate: >= 2x on
 //! `deep`).
 
@@ -147,7 +148,7 @@ fn run_shape(name: &'static str, builder: fn() -> Network, ticks: usize) -> Shap
 
 fn main() {
     // `AUTOMODE_BENCH_QUICK=1` shrinks the workload for CI smoke runs.
-    let quick = std::env::var("AUTOMODE_BENCH_QUICK").is_ok_and(|v| v == "1");
+    let quick = automode_bench::quick_mode();
     let ticks = if quick { 4_000 } else { 20_000 };
     let results = [
         run_shape("deep", || build_deep(256), ticks),
@@ -169,7 +170,5 @@ fn main() {
     }
     json.push_str("  }\n}\n");
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_executor.json");
-    std::fs::write(path, &json).expect("write BENCH_executor.json");
-    println!("wrote {path}");
+    automode_bench::write_results("BENCH_executor.json", &json);
 }

@@ -14,7 +14,8 @@
 //!   bench-local block that interprets the same AST through `SliceScope`
 //!   name resolution per tick (the pre-VM execution path).
 //!
-//! Writes `BENCH_clock.json` at the repository root.
+//! Writes `BENCH_clock.json` at the repository root
+//! (under `target/bench-quick/` in quick mode).
 //! `AUTOMODE_BENCH_QUICK=1` shrinks the workload for CI smoke runs;
 //! `AUTOMODE_BENCH_ENFORCE=1` exits nonzero if gating yields < 2x on
 //! `multirate_sparse`.
@@ -191,7 +192,7 @@ fn measure(mut ready: automode_kernel::ReadyNetwork, row: &[Message], ticks: usi
 }
 
 fn main() {
-    let quick = std::env::var("AUTOMODE_BENCH_QUICK").is_ok_and(|v| v == "1");
+    let quick = automode_bench::quick_mode();
     let ticks = if quick { 4_000 } else { 20_000 };
 
     // Interleave and take the best of three rounds per variant so one
@@ -239,9 +240,7 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"multirate_sparse\",\n  \"unit\": \"ticks_per_second\",\n  \"scenarios\": {{\n    \"multirate_sparse\": {{ \"ticks\": {ticks}, \"ungated\": {ungated:.0}, \"gated\": {gated:.0}, \"speedup\": {sparse_speedup:.2} }},\n    \"expr_heavy\": {{ \"ticks\": {ticks}, \"ast\": {ast:.0}, \"bytecode\": {bytecode:.0}, \"speedup\": {expr_speedup:.2} }}\n  }}\n}}\n"
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_clock.json");
-    std::fs::write(path, &json).expect("write BENCH_clock.json");
-    println!("wrote {path}");
+    automode_bench::write_results("BENCH_clock.json", &json);
 
     if std::env::var("AUTOMODE_BENCH_ENFORCE").is_ok_and(|v| v == "1") {
         if sparse_speedup < 2.0 {

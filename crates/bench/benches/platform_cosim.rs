@@ -17,7 +17,8 @@
 //! * `lost_frame` — the named dropout scenario; robustness detection
 //!   latency must be finite.
 //!
-//! Writes `BENCH_platform.json` at the repository root.
+//! Writes `BENCH_platform.json` at the repository root
+//! (under `target/bench-quick/` in quick mode).
 //! `AUTOMODE_BENCH_QUICK=1` shrinks the workload for CI smoke runs;
 //! `AUTOMODE_BENCH_ENFORCE=1` exits nonzero when a gate fails. The gates
 //! are semantic, not just throughput floors: fault-free must be clean,
@@ -86,7 +87,7 @@ struct Gate {
 }
 
 fn main() {
-    let quick = std::env::var("AUTOMODE_BENCH_QUICK").is_ok_and(|v| v == "1");
+    let quick = automode_bench::quick_mode();
     let sweep_ticks: u64 = if quick { 240 } else { 1_000 };
     let tp_ticks: u64 = if quick { 2_000 } else { 10_000 };
 
@@ -152,9 +153,7 @@ fn main() {
         lost_report.robustness.violations.len(),
         detection.map_or("null".to_string(), |l| l.to_string()),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_platform.json");
-    std::fs::write(path, &json).expect("write BENCH_platform.json");
-    println!("wrote {path}");
+    automode_bench::write_results("BENCH_platform.json", &json);
 
     if std::env::var("AUTOMODE_BENCH_ENFORCE").is_ok_and(|v| v == "1") {
         let nominal = &curve[0];

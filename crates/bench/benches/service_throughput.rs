@@ -20,7 +20,8 @@
 //! Per-request wall latency is recorded client-side in a
 //! `core::metrics::LatencyHistogram`; p50/p99/max land in the report.
 //!
-//! Writes `BENCH_service.json` at the repository root.
+//! Writes `BENCH_service.json` at the repository root
+//! (under `target/bench-quick/` in quick mode).
 //!
 //! Env knobs: `AUTOMODE_BENCH_QUICK=1` shrinks the workload for CI;
 //! `AUTOMODE_BENCH_ENFORCE=1` exits nonzero unless cached throughput is
@@ -112,7 +113,7 @@ fn report(side: &str, m: &Measured) {
 }
 
 fn main() {
-    let quick = std::env::var("AUTOMODE_BENCH_QUICK").is_ok_and(|v| v == "1");
+    let quick = automode_bench::quick_mode();
     // `count = 16 * K` gives the cached side exactly 16 shards per
     // sweep, so the 1/16 differential oracle samples one shard per
     // request — its steady-state production rate — instead of rounding
@@ -214,9 +215,7 @@ fn main() {
         cmax = cached.max_us,
         speedup = speedup,
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service.json");
-    std::fs::write(path, &json).expect("write BENCH_service.json");
-    println!("wrote {path}");
+    automode_bench::write_results("BENCH_service.json", &json);
 
     if std::env::var("AUTOMODE_BENCH_ENFORCE").is_ok_and(|v| v == "1") {
         if speedup < 3.0 {

@@ -29,7 +29,8 @@
 //!   lanes): the unified event-driven batch loop must not regress against
 //!   the dense batch walk (gate: >= 0.95x full mode).
 //!
-//! Writes `BENCH_event.json` at the repository root.
+//! Writes `BENCH_event.json` at the repository root
+//! (under `target/bench-quick/` in quick mode).
 //! `AUTOMODE_BENCH_QUICK=1` shrinks the workload for CI smoke runs (with
 //! proportionally looser gates); `AUTOMODE_BENCH_ENFORCE=1` exits nonzero
 //! when a gate fails.
@@ -196,7 +197,7 @@ struct Gate {
 }
 
 fn main() {
-    let quick = std::env::var("AUTOMODE_BENCH_QUICK").is_ok_and(|v| v == "1");
+    let quick = automode_bench::quick_mode();
     let ticks = if quick { 4_000 } else { 20_000 };
     let silent_ticks = if quick { 20_000 } else { 200_000 };
 
@@ -298,9 +299,7 @@ fn main() {
         "{{\n  \"bench\": \"sparse_multirate_event\",\n  \"unit\": \"ticks_per_second\",\n  \"scenarios\": {{\n    \"mixed\": {{ \"ticks\": {ticks}, \"dense\": {dense:.0}, \"event\": {event:.0}, \"speedup\": {mixed_speedup:.2} }},\n    \"silent\": {{ \"ticks\": {silent_ticks}, \"gated_walk\": {walk:.0}, \"event\": {ff:.0}, \"speedup\": {silent_speedup:.2} }},\n    \"silent_headless\": {{ \"ticks\": {silent_ticks}, \"gated_walk\": {walk_hl:.0}, \"event\": {ff_hl:.0}, \"speedup\": {headless_speedup:.2} }},\n    \"dense_guard\": {{ \"ticks\": {ticks}, \"walk\": {walk_dense:.0}, \"run\": {guarded:.0}, \"ratio\": {dense_ratio:.2} }},\n    \"batch_guard\": {{ \"lane_ticks\": {}, \"dense\": {batch_dense:.0}, \"event\": {batch_event:.0}, \"ratio\": {batch_ratio:.2} }}\n  }}\n}}\n",
         batch_stim.len() * 8
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_event.json");
-    std::fs::write(path, &json).expect("write BENCH_event.json");
-    println!("wrote {path}");
+    automode_bench::write_results("BENCH_event.json", &json);
 
     if std::env::var("AUTOMODE_BENCH_ENFORCE").is_ok_and(|v| v == "1") {
         // Quick mode runs tiny workloads on noisy CI runners; gates scale

@@ -359,6 +359,32 @@ pub fn accumulator() -> (Model, ComponentId) {
     (model, top)
 }
 
+/// Whether `AUTOMODE_BENCH_QUICK=1` asks for the small CI workload.
+pub fn quick_mode() -> bool {
+    std::env::var("AUTOMODE_BENCH_QUICK").is_ok_and(|v| v == "1")
+}
+
+/// Writes a bench's JSON results as `file` (e.g. `BENCH_batch.json`): at
+/// the repository root for a full run, under `target/bench-quick/` for a
+/// quick one, so a smoke run never overwrites the committed results.
+///
+/// # Panics
+///
+/// If the file cannot be written.
+pub fn write_results(file: &str, json: &str) {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let dir = if quick_mode() {
+        format!("{root}/target/bench-quick")
+    } else {
+        root.to_string()
+    };
+    let path = format!("{dir}/{file}");
+    std::fs::create_dir_all(&dir)
+        .and_then(|()| std::fs::write(&path, json))
+        .unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("wrote {path}");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -24,6 +24,7 @@ use automode_kernel::CoverageLayout;
 use automode_sim::CompiledSim;
 
 use crate::pool::WorkerPool;
+use crate::sweep::{opt_bool, opt_num, opt_uint, uint};
 use crate::ServiceError;
 
 /// Hard ceiling on generations per request.
@@ -86,9 +87,9 @@ impl ExploreSpec {
                     .to_string(),
             ),
         };
-        let generations = doc.get("generations").and_then(Json::as_u64).unwrap_or(8) as usize;
-        let population = doc.get("population").and_then(Json::as_u64).unwrap_or(16) as usize;
-        let ticks = doc.get("ticks").and_then(Json::as_u64).unwrap_or(16) as usize;
+        let generations = opt_uint(doc, "generations", 8)? as usize;
+        let population = opt_uint(doc, "population", 16)? as usize;
+        let ticks = opt_uint(doc, "ticks", 16)? as usize;
         if generations == 0 || population == 0 || ticks == 0 {
             return Err(ServiceError::BadRequest(
                 "`generations`, `population`, and `ticks` must be positive".into(),
@@ -109,11 +110,7 @@ impl ExploreSpec {
                 "ticks {ticks} exceeds limit {MAX_TICKS}"
             )));
         }
-        let max_repros = doc
-            .get("max_repros")
-            .and_then(Json::as_u64)
-            .unwrap_or(8)
-            .min(MAX_REPROS as u64) as usize;
+        let max_repros = opt_uint(doc, "max_repros", 8)?.min(MAX_REPROS as u64) as usize;
         let mut ranges = Vec::new();
         if let Some(arr) = doc.get("ranges").and_then(Json::as_array) {
             for (idx, item) in arr.iter().enumerate() {
@@ -124,8 +121,8 @@ impl ExploreSpec {
                         ServiceError::BadRequest(format!("ranges[{idx}]: missing `port`"))
                     })?
                     .to_string();
-                let lo = item.get("lo").and_then(Json::as_f64).unwrap_or(0.0);
-                let hi = item.get("hi").and_then(Json::as_f64).unwrap_or(1.0);
+                let lo = opt_num(item, "lo", 0.0)?;
+                let hi = opt_num(item, "hi", 1.0)?;
                 if !lo.is_finite() || !hi.is_finite() || lo > hi {
                     return Err(ServiceError::BadRequest(format!(
                         "ranges[{idx}]: need finite lo <= hi"
@@ -140,17 +137,15 @@ impl ExploreSpec {
             generations,
             population,
             ticks,
-            seed: doc.get("seed").and_then(Json::as_u64).unwrap_or(0),
-            lanes: doc.get("lanes").and_then(Json::as_u64).unwrap_or(8).max(1) as usize,
-            guided: doc.get("guided").and_then(Json::as_bool).unwrap_or(true),
+            seed: opt_uint(doc, "seed", 0)?,
+            lanes: opt_uint(doc, "lanes", 8)?.max(1) as usize,
+            guided: opt_bool(doc, "guided", true)?,
             max_repros,
-            strict_monitor: doc
-                .get("strict_monitor")
-                .and_then(Json::as_bool)
-                .unwrap_or(true),
+            strict_monitor: opt_bool(doc, "strict_monitor", true)?,
             max_faults: doc
                 .get("max_faults")
-                .and_then(Json::as_u64)
+                .map(|v| uint(v, "max_faults"))
+                .transpose()?
                 .map(|n| n as usize),
             ranges,
         })
@@ -403,6 +398,31 @@ mod tests {
         )
         .is_err());
         assert!(ExploreSpec::from_json(&parse(r#"{"count":4}"#).unwrap()).is_err());
+
+        // An ill-typed field is a 400 naming it, never its default.
+        for (field, value) in [
+            ("generations", "-1"),
+            ("population", "1.5"),
+            ("ticks", "\"x\""),
+            ("seed", "-3"),
+            ("lanes", "true"),
+            ("max_repros", "\"4\""),
+            ("max_faults", "0.5"),
+            ("guided", "1"),
+            ("strict_monitor", "null"),
+        ] {
+            let doc = parse(&format!(r#"{{"model":"m","{field}":{value}}}"#)).unwrap();
+            match ExploreSpec::from_json(&doc) {
+                Err(ServiceError::BadRequest(m)) => assert!(m.contains(field), "{field}: {m}"),
+                other => panic!("{field}: {value} gave {other:?}"),
+            }
+        }
+        // An integer too large for its limit is a 413, not a default.
+        let doc = parse(r#"{"model":"m","ticks":2e16}"#).unwrap();
+        assert!(matches!(
+            ExploreSpec::from_json(&doc),
+            Err(ServiceError::TooLarge(_))
+        ));
     }
 
     #[test]

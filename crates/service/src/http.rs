@@ -59,7 +59,8 @@ pub struct ServerConfig {
     /// Largest accepted request body in bytes (`413` beyond this).
     pub max_body: usize,
     /// Differential-oracle sampling period N in shards: shards 0, N, 2N,
-    /// … of every sweep are re-run (`0` disables).
+    /// … of every sweep are re-run lane by lane on the connection thread
+    /// (`0` disables).
     pub oracle_every: usize,
 }
 

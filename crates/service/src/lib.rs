@@ -25,7 +25,8 @@
 //! every sweep (so always its first shard) with batch vectorization
 //! disabled and fails the sweep on any divergence — the typed-lane fast
 //! path is continuously cross-checked in production, not just in
-//! proptests.
+//! proptests. The connection thread checks each sampled shard lane by
+//! lane as it streams it, while the pool runs the next shards.
 //!
 //! The workspace is offline: no tokio, no hyper, no serde. HTTP/1.1 is
 //! hand-rolled over [`std::net::TcpListener`] with a connection thread

@@ -15,17 +15,14 @@
 //! execution can run ahead of a slow client (backpressure). A worker's
 //! send never blocks, so no pool worker ever waits on a connection.
 //!
-//! A sampled **live differential oracle** re-runs shards 0, N, 2N, …
-//! (N = `oracle_every`) on a clone of the compiled model with batch
+//! A sampled **live differential oracle** checks shards 0, N, 2N, …
+//! (N = `oracle_every`) against a clone of the compiled model with batch
 //! vectorization disabled and compares the runs exactly; any divergence
 //! fails the sweep and names the offending scenarios. Every request's
 //! first shard is therefore checked, and a 2-shard request re-runs half
-//! its scenarios. A sampled shard with later shards behind it is checked
-//! by the writer (the connection thread), lane by lane, while the pool
-//! runs on: the worker hands over its bare runs, and the writer re-runs
-//! each lane alone on one reused copy, compares, encodes and sends it.
-//! The last shard — so every single-shard request — is checked inline by
-//! its worker.
+//! its scenarios. The worker of a sampled shard hands over its bare runs,
+//! and the writer (the connection thread) re-runs each lane alone on one
+//! reused copy, compares, encodes and sends it while the pool runs on.
 
 use std::collections::VecDeque;
 use std::sync::mpsc::{self, Receiver};
@@ -45,6 +42,9 @@ const MAX_SCENARIOS: usize = 65_536;
 const MAX_TICKS: usize = 1_000_000;
 /// Largest accepted lane width.
 const MAX_LANES: usize = 1024;
+/// Hard ceiling on `count × ticks`, the work of one sweep: 2^24, 131× the
+/// largest benchmark sweep (64 × 2,000).
+const MAX_SCENARIO_TICKS: usize = 1 << 24;
 
 // ---------------------------------------------------------------------------
 // Spec parsing
@@ -155,11 +155,36 @@ fn num(v: &Json, what: &str) -> Result<f64, ServiceError> {
         .ok_or_else(|| ServiceError::BadRequest(format!("{what} must be a number")))
 }
 
-fn opt_num(obj: &Json, key: &str, default: f64) -> Result<f64, ServiceError> {
+pub(crate) fn opt_num(obj: &Json, key: &str, default: f64) -> Result<f64, ServiceError> {
     match obj.get(key) {
         Some(v) => num(v, key),
         None => Ok(default),
     }
+}
+
+/// `v` as a non-negative integer. Integers beyond `u64` saturate, so an
+/// oversized count still reaches its limit check.
+pub(crate) fn uint(v: &Json, what: &str) -> Result<u64, ServiceError> {
+    match v {
+        Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as u64),
+        _ => Err(ServiceError::BadRequest(format!(
+            "`{what}` must be a non-negative integer"
+        ))),
+    }
+}
+
+/// Field `key` of `obj` as a non-negative integer, or `default` when the
+/// field is absent.
+pub(crate) fn opt_uint(obj: &Json, key: &str, default: u64) -> Result<u64, ServiceError> {
+    obj.get(key).map_or(Ok(default), |v| uint(v, key))
+}
+
+/// Field `key` of `obj` as a bool, or `default` when the field is absent.
+pub(crate) fn opt_bool(obj: &Json, key: &str, default: bool) -> Result<bool, ServiceError> {
+    obj.get(key).map_or(Ok(default), |v| {
+        v.as_bool()
+            .ok_or_else(|| ServiceError::BadRequest(format!("`{key}` must be a bool")))
+    })
 }
 
 fn value_of(v: &Json, what: &str) -> Result<Value, ServiceError> {
@@ -194,28 +219,29 @@ impl SweepSpec {
                     .to_string(),
             ),
         };
-        let count = doc.get("count").and_then(Json::as_u64).unwrap_or(32) as usize;
-        let ticks = doc.get("ticks").and_then(Json::as_u64).unwrap_or(100) as usize;
-        let lanes = doc.get("lanes").and_then(Json::as_u64).unwrap_or(32) as usize;
+        let count = opt_uint(doc, "count", 32)? as usize;
+        let ticks = opt_uint(doc, "ticks", 100)? as usize;
+        let lanes = opt_uint(doc, "lanes", 32)? as usize;
         if count == 0 || ticks == 0 || lanes == 0 {
             return Err(ServiceError::BadRequest(
                 "`count`, `ticks`, and `lanes` must be positive".into(),
             ));
         }
-        if count > MAX_SCENARIOS {
-            return Err(ServiceError::TooLarge(format!(
-                "count {count} exceeds limit {MAX_SCENARIOS}"
-            )));
-        }
-        if ticks > MAX_TICKS {
-            return Err(ServiceError::TooLarge(format!(
-                "ticks {ticks} exceeds limit {MAX_TICKS}"
-            )));
-        }
-        if lanes > MAX_LANES {
-            return Err(ServiceError::TooLarge(format!(
-                "lanes {lanes} exceeds limit {MAX_LANES}"
-            )));
+        for (what, n, limit) in [
+            ("count", count, MAX_SCENARIOS),
+            ("ticks", ticks, MAX_TICKS),
+            ("lanes", lanes, MAX_LANES),
+            (
+                "count x ticks",
+                count.saturating_mul(ticks),
+                MAX_SCENARIO_TICKS,
+            ),
+        ] {
+            if n > limit {
+                return Err(ServiceError::TooLarge(format!(
+                    "{what} {n} exceeds limit {limit}"
+                )));
+            }
         }
         let mut inputs = Vec::new();
         if let Some(arr) = doc.get("inputs").and_then(Json::as_array) {
@@ -229,16 +255,15 @@ impl SweepSpec {
                 faults.push(parse_fault(item, idx)?);
             }
         }
-        let flag = |key: &str| doc.get(key).and_then(Json::as_bool).unwrap_or(false);
         Ok(SweepSpec {
             model,
             component,
             count,
             ticks,
             lanes,
-            trace: flag("trace"),
-            vcd: flag("vcd"),
-            robustness: flag("robustness"),
+            trace: opt_bool(doc, "trace", false)?,
+            vcd: opt_bool(doc, "vcd", false)?,
+            robustness: opt_bool(doc, "robustness", false)?,
             inputs,
             faults,
         })
@@ -289,7 +314,7 @@ fn parse_input(item: &Json, idx: usize) -> Result<InputSpec, ServiceError> {
         "random" => Stim::Random {
             lo: opt_num(item, "lo", 0.0)?,
             hi: opt_num(item, "hi", 1.0)?,
-            seed: item.get("seed").and_then(Json::as_u64).unwrap_or(1),
+            seed: opt_uint(item, "seed", 1)?,
         },
         other => {
             return Err(ServiceError::BadRequest(format!(
@@ -306,7 +331,10 @@ fn parse_fault(item: &Json, idx: usize) -> Result<FaultSpec, ServiceError> {
         .and_then(Json::as_str)
         .ok_or_else(|| ServiceError::BadRequest(format!("faults[{idx}]: missing `target`")))?
         .to_string();
-    let lane_mod = item.get("lane_mod").and_then(Json::as_u64);
+    let lane_mod = item
+        .get("lane_mod")
+        .map(|v| uint(v, "lane_mod"))
+        .transpose()?;
     if lane_mod == Some(0) {
         return Err(ServiceError::BadRequest(format!(
             "faults[{idx}]: `lane_mod` must be positive"
@@ -318,14 +346,14 @@ fn parse_fault(item: &Json, idx: usize) -> Result<FaultSpec, ServiceError> {
         .ok_or_else(|| ServiceError::BadRequest(format!("faults[{idx}]: missing `kind`")))?;
     let kind = match kind {
         "drop" => FaultKind::drop_every(
-            item.get("every").and_then(Json::as_u64).unwrap_or(1).max(1),
-            item.get("phase").and_then(Json::as_u64).unwrap_or(0),
+            opt_uint(item, "every", 1)?.max(1),
+            opt_uint(item, "phase", 0)?,
         ),
         "stuck" => FaultKind::StuckAt(value_of(
             item.get("value").unwrap_or(&Json::Num(0.0)),
             &format!("faults[{idx}].value"),
         )?),
-        "delay" => FaultKind::Delay(item.get("ticks").and_then(Json::as_u64).unwrap_or(1) as usize),
+        "delay" => FaultKind::Delay(opt_uint(item, "ticks", 1)? as usize),
         "jitter" => {
             let hold = opt_num(item, "hold", 0.5)?;
             if !(0.0..1.0).contains(&hold) {
@@ -334,7 +362,7 @@ fn parse_fault(item: &Json, idx: usize) -> Result<FaultSpec, ServiceError> {
                 )));
             }
             FaultKind::Jitter {
-                seed: item.get("seed").and_then(Json::as_u64).unwrap_or(1),
+                seed: opt_uint(item, "seed", 1)?,
                 hold,
             }
         }
@@ -361,21 +389,14 @@ fn parse_fault(item: &Json, idx: usize) -> Result<FaultSpec, ServiceError> {
 /// What one shard hands to the writer.
 enum ShardOut {
     /// One encoded ndjson line per scenario, in scenario order: every
-    /// unsampled shard, a sampled last shard (checked on its worker), and
-    /// any shard whose batch failed.
+    /// unsampled shard, and any shard whose batch failed.
     Lines {
         lines: Vec<String>,
-        /// Whether the batch or its oracle re-run failed, or a lane
-        /// diverged.
+        /// Whether the batch failed.
         failed: bool,
-        /// Scenarios where the differential oracle diverged.
-        diverged: usize,
-        /// Whether the oracle sampled this shard.
-        oracle_checked: bool,
     },
-    /// A sampled shard with later shards behind it: its runs, neither
-    /// checked nor encoded. The writer checks, encodes and sends them
-    /// lane by lane ([`LaneOracle`]).
+    /// A sampled shard: its runs, neither checked nor encoded. The writer
+    /// checks, encodes and sends them lane by lane ([`LaneOracle`]).
     Unchecked(Vec<SimRun>),
 }
 
@@ -386,9 +407,10 @@ const QUEUE_CAP: usize = 8;
 /// Knobs the server passes into [`execute`].
 #[derive(Debug, Clone, Copy)]
 pub struct ExecOpts {
-    /// Differential-oracle sampling period N in shards: shards 0, N, 2N, …
-    /// re-run with vectorization disabled, so the first shard of every
-    /// request is checked; `0` disables the oracle.
+    /// Differential-oracle sampling period N in shards: the writer re-runs
+    /// shards 0, N, 2N, … lane by lane with vectorization disabled, so the
+    /// first shard of every request (the last one included) is checked;
+    /// `0` disables the oracle.
     pub oracle_every: usize,
 }
 
@@ -447,24 +469,10 @@ pub fn execute(
     execute_checked(spec, sim, oracle, pool, opts, emit)
 }
 
-/// How a shard's runs are checked against the oracle.
-enum ShardCheck {
-    /// Not sampled.
-    Unsampled,
-    /// Sampled, and the request's last shard: the worker re-runs the
-    /// batch on this handle before encoding.
-    Inline(Arc<CompiledSim>),
-    /// Sampled with later shards behind it: the writer checks it.
-    Writer,
-}
-
 /// [`execute`] against the given oracle handle (`None`: no oracle).
 ///
-/// A sampled shard with later shards behind it goes to the writer
-/// unchecked; the writer re-runs it lane by lane while the pool runs the
-/// next shards. Only the last shard — and so every single-shard request —
-/// is re-run inline on its worker, since the writer would have nothing to
-/// overlap it with.
+/// Every sampled shard goes to the writer unchecked; the writer re-runs it
+/// lane by lane while the pool runs the next shards.
 fn execute_checked(
     spec: &Arc<SweepSpec>,
     sim: &Arc<CompiledSim>,
@@ -474,36 +482,17 @@ fn execute_checked(
     emit: &mut dyn FnMut(&str) -> std::io::Result<()>,
 ) -> std::io::Result<SweepOutcome> {
     let shards = spec.shards();
-    let last = shards - 1;
-    let every = if oracle.is_some() {
-        opts.oracle_every
-    } else {
-        0
-    };
-    // The writer owns the oracle copy; the worker of a sampled last shard
-    // shares one of its own.
-    let (inline, mut lane_oracle) = match oracle {
-        Some(o) if shards > 1 => {
-            let inline = oracle_samples(last, every).then(|| Arc::new(o.clone()));
-            (inline, Some(LaneOracle::new(o, spec, sim)))
-        }
-        o => (o.map(Arc::new), None),
-    };
+    let every = oracle.as_ref().map_or(0, |_| opts.oracle_every);
+    let mut lane_oracle = oracle.map(|o| LaneOracle::new(o, spec, sim));
     // Each shard job sends its output down its own channel; a send never
     // blocks, so no pool worker ever parks on a connection.
     let submit = |shard_idx: usize| -> Receiver<ShardOut> {
         let spec = spec.clone();
         let sim = sim.clone();
-        let check = if !oracle_samples(shard_idx, every) {
-            ShardCheck::Unsampled
-        } else if shard_idx == last {
-            ShardCheck::Inline(inline.clone().expect("a sampled last shard has an oracle"))
-        } else {
-            ShardCheck::Writer
-        };
+        let sampled = oracle_samples(shard_idx, every);
         let (tx, rx) = mpsc::channel();
         pool.submit(move || {
-            let _ = tx.send(run_shard(&spec, &sim, &check, shard_idx));
+            let _ = tx.send(run_shard(&spec, &sim, sampled, shard_idx));
         });
         rx
     };
@@ -518,8 +507,8 @@ fn execute_checked(
     let mut submitted = in_flight.len();
 
     // This thread (the connection handler) is the writer: it receives
-    // shard outputs in shard order, checks the shards handed to it, and
-    // pushes the lines down the socket.
+    // shard outputs in shard order, checks the sampled ones, and pushes
+    // the lines down the socket.
     let mut outcome = SweepOutcome {
         scenarios: spec.count,
         shards,
@@ -529,32 +518,18 @@ fn execute_checked(
     let mut shard_idx = 0;
     while let Some(rx) = in_flight.pop_front() {
         let out = rx.recv().expect("a shard job sends its output");
-        let sent = match out {
-            ShardOut::Lines {
-                lines,
-                failed,
-                diverged,
-                oracle_checked,
-            } => {
-                outcome.oracle_shards += usize::from(oracle_checked);
-                outcome.oracle_divergences += diverged;
+        outcome.oracle_shards += usize::from(oracle_samples(shard_idx, every));
+        let sent = match (out, &sink_err) {
+            // The client is gone: drop the shard, checking nothing.
+            (_, Some(_)) => Ok(()),
+            (ShardOut::Lines { lines, failed }, None) => {
                 outcome.failed |= failed;
-                match sink_err {
-                    Some(_) => Ok(()),
-                    None => lines.iter().try_for_each(|line| emit(line)),
-                }
+                lines.iter().try_for_each(|line| emit(line))
             }
-            ShardOut::Unchecked(runs) => {
-                outcome.oracle_shards += 1;
-                match sink_err {
-                    // The client is gone: drop the runs unchecked.
-                    Some(_) => Ok(()),
-                    None => lane_oracle
-                        .as_mut()
-                        .expect("writer-checked shards have an oracle")
-                        .check_and_emit(spec, shard_idx, runs, &mut outcome, emit),
-                }
-            }
+            (ShardOut::Unchecked(runs), None) => lane_oracle
+                .as_mut()
+                .expect("sampled shards have an oracle")
+                .check_and_emit(spec, shard_idx, runs, &mut outcome, emit),
         };
         shard_idx += 1;
         if let Err(e) = sent {
@@ -573,7 +548,7 @@ fn execute_checked(
     }
 }
 
-/// The writer's half of the live oracle: a vectorization-off copy of the
+/// The live oracle, run by the writer: a vectorization-off copy of the
 /// compiled model, reused for every lane it re-runs.
 struct LaneOracle {
     sim: CompiledSim,
@@ -616,7 +591,11 @@ impl LaneOracle {
                             result_line(spec, self.monitor.as_ref(), i, &run)
                         }
                         Ok(_) => {
-                            log_divergence(i, shard_idx);
+                            eprintln!(
+                                "service: differential oracle divergence at scenario {i} \
+                                 (shard {shard_idx}): vectorized batch run differs from \
+                                 scalar reference"
+                            );
                             outcome.oracle_divergences += 1;
                             outcome.failed = true;
                             error_line(i, DIVERGENCE)
@@ -639,14 +618,6 @@ impl LaneOracle {
 
 /// The in-band error text of a diverged scenario.
 const DIVERGENCE: &str = "differential oracle divergence";
-
-/// Server-side log of a scenario where the oracle diverged.
-fn log_divergence(i: usize, shard_idx: usize) {
-    eprintln!(
-        "service: differential oracle divergence at scenario {i} (shard {shard_idx}): \
-         vectorized batch run differs from scalar reference"
-    );
-}
 
 /// Scenario `i`'s named input streams.
 fn lane_inputs(spec: &SweepSpec, i: usize) -> Vec<(&str, Stream)> {
@@ -691,15 +662,9 @@ fn result_line(
 }
 
 /// Executes one K-lane shard: builds the scenario streams and runs the
-/// batch. A shard checked inline re-runs on the oracle and is encoded
-/// here, as is an unsampled one; a writer-checked shard goes back as
-/// its bare runs.
-fn run_shard(
-    spec: &SweepSpec,
-    sim: &CompiledSim,
-    check: &ShardCheck,
-    shard_idx: usize,
-) -> ShardOut {
+/// batch. An unsampled shard is encoded here; a sampled one goes back as
+/// its bare runs for the writer to check.
+fn run_shard(spec: &SweepSpec, sim: &CompiledSim, sampled: bool, shard_idx: usize) -> ShardOut {
     let start = shard_idx * spec.lanes;
     let end = (start + spec.lanes).min(spec.count);
     let inputs: Vec<Vec<(&str, Stream)>> = (start..end).map(|i| lane_inputs(spec, i)).collect();
@@ -708,57 +673,26 @@ fn run_shard(
         .zip(start..)
         .map(|(inp, i)| lane_scenario(spec, inp, i))
         .collect();
-    let sampled = !matches!(check, ShardCheck::Unsampled);
-    let fail_all = |prefix: &str, e: &dyn std::fmt::Display| ShardOut::Lines {
-        lines: (start..end)
-            .map(|i| error_line(i, &format!("{prefix}: {e}")))
-            .collect(),
-        failed: true,
-        diverged: 0,
-        oracle_checked: sampled,
-    };
-
     let runs = match sim.run_batch(&scenarios) {
-        Ok(r) => r,
-        Err(e) => return fail_all("simulation failed", &e),
+        Ok(runs) if sampled => return ShardOut::Unchecked(runs),
+        Ok(runs) => runs,
+        Err(e) => {
+            let msg = format!("simulation failed: {e}");
+            return ShardOut::Lines {
+                lines: (start..end).map(|i| error_line(i, &msg)).collect(),
+                failed: true,
+            };
+        }
     };
-
-    // Live differential oracle: the sampled shard re-runs with batch
-    // vectorization off; the runs must match *exactly*.
-    let mut diverged = Vec::new();
-    match check {
-        ShardCheck::Unsampled => {}
-        ShardCheck::Writer => return ShardOut::Unchecked(runs),
-        ShardCheck::Inline(o) => match o.run_batch(&scenarios) {
-            Ok(scalar_runs) => {
-                for ((fast, slow), i) in runs.iter().zip(&scalar_runs).zip(start..) {
-                    if fast != slow {
-                        log_divergence(i, shard_idx);
-                        diverged.push(i);
-                    }
-                }
-            }
-            Err(e) => return fail_all("oracle re-run failed", &e),
-        },
-    }
-
     let monitor = spec.robustness.then(|| sim.monitor());
     let lines = runs
         .iter()
         .zip(start..)
-        .map(|(run, i)| {
-            if diverged.contains(&i) {
-                error_line(i, DIVERGENCE)
-            } else {
-                result_line(spec, monitor.as_ref(), i, run)
-            }
-        })
+        .map(|(run, i)| result_line(spec, monitor.as_ref(), i, run))
         .collect();
     ShardOut::Lines {
         lines,
-        failed: !diverged.is_empty(),
-        diverged: diverged.len(),
-        oracle_checked: sampled,
+        failed: false,
     }
 }
 
@@ -829,22 +763,27 @@ mod tests {
     }
 
     fn compiled() -> Arc<CompiledSim> {
-        let model = automode_core::text::from_text(&gain_model()).unwrap();
-        Arc::new(CompiledSim::new_root(&model).unwrap())
+        Arc::new(sim_with("(u * 2.0)"))
+    }
+
+    /// A compiled handle computing `y = expr`.
+    fn sim_with(expr: &str) -> CompiledSim {
+        let model = automode_core::text::from_text(&model_with(expr)).unwrap();
+        CompiledSim::new_root(&model).unwrap()
     }
 
     /// A vectorization-off oracle handle computing `y = expr` — a stand-in
     /// for a kernel whose two loops disagree.
     fn oracle_with(expr: &str) -> CompiledSim {
-        let model = automode_core::text::from_text(&model_with(expr)).unwrap();
-        let mut o = CompiledSim::new_root(&model).unwrap();
+        let mut o = sim_with(expr);
         o.set_batch_vectorization(false);
         o
     }
 
-    /// Runs a gain sweep with `u = 1.0 + 0.5 i` against `oracle`,
+    /// Runs a sweep of `sim` with `u = 1.0 + 0.5 i` against `oracle`,
     /// returning every line and the outcome.
     fn run_against(
+        sim: CompiledSim,
         oracle: CompiledSim,
         count: usize,
         lanes: usize,
@@ -861,7 +800,7 @@ mod tests {
         let opts = ExecOpts {
             oracle_every: every,
         };
-        let outcome = execute_checked(&spec, &compiled(), Some(oracle), &pool, opts, &mut |l| {
+        let outcome = execute_checked(&spec, &Arc::new(sim), Some(oracle), &pool, opts, &mut |l| {
             lines.push(l.to_string());
             Ok(())
         })
@@ -869,6 +808,31 @@ mod tests {
         pool.shutdown();
         assert_eq!(lines.len(), count);
         (lines, outcome)
+    }
+
+    /// Asserts that the lines in `failing` carry the division-by-zero error
+    /// `prefix: …` and that every other line is byte-equal to a direct
+    /// `run_batch` of the gain model at `u = 1.0 + 0.5 i`.
+    fn assert_errors_exactly_at(lines: &[String], failing: std::ops::Range<usize>, prefix: &str) {
+        let direct = compiled();
+        for (i, line) in lines.iter().enumerate() {
+            if failing.contains(&i) {
+                let e = error_of(line).unwrap();
+                assert!(e.starts_with(prefix), "line {i}: {e}");
+                assert!(e.contains("division by zero"), "line {i}: {e}");
+            } else {
+                let inputs = [(
+                    "u",
+                    stimulus::constant(Value::Float(1.0 + 0.5 * i as f64), 6),
+                )];
+                let run = direct.run_batch(&[BatchScenario::new(&inputs, 6)]).unwrap();
+                assert_eq!(
+                    line,
+                    &scenario_line(i, &run[0], false, None, None),
+                    "line {i}"
+                );
+            }
+        }
     }
 
     /// The error text of a line, or `None` for a result line.
@@ -914,9 +878,10 @@ mod tests {
 
     #[test]
     fn mismatching_oracle_fails_every_sampled_lane() {
-        // Shards of 4: shard 0 is checked by the writer, shard 1 is not
-        // sampled, shard 2 (the last) is checked on its worker.
-        let (lines, outcome) = run_against(oracle_with("(u * 3.0)"), 12, 4, 2);
+        // Shards of 4: shards 0 and 2 (the last) are sampled and checked
+        // by the writer, shard 1 is not sampled.
+        let (lines, outcome) =
+            run_against(sim_with("(u * 2.0)"), oracle_with("(u * 3.0)"), 12, 4, 2);
         for (i, line) in lines.iter().enumerate() {
             let want = (!(4..8).contains(&i)).then(|| DIVERGENCE.to_string());
             assert_eq!(error_of(line), want, "line {i}");
@@ -936,34 +901,17 @@ mod tests {
     #[test]
     fn oracle_error_on_a_writer_checked_lane_fails_it_and_the_rest() {
         // The oracle agrees with `u * 2.0` bit for bit except at u = 3.0
-        // (scenario 4), where it divides by zero.
+        // (scenario 4), where it divides by zero. Lanes below the failing
+        // one matched and went out as results, as did the (unfailing)
+        // last shard.
         let (lines, outcome) = run_against(
+            sim_with("(u * 2.0)"),
             oracle_with("((u * 2.0) * ((u - 3.0) / (u - 3.0)))"),
             12,
             8,
             1,
         );
-        let direct = compiled();
-        for (i, line) in lines.iter().enumerate() {
-            if (4..8).contains(&i) {
-                let e = error_of(line).unwrap();
-                assert!(e.starts_with("oracle re-run failed: "), "line {i}: {e}");
-                assert!(e.contains("division by zero"), "line {i}: {e}");
-            } else {
-                // Lanes below the failing one matched and went out as
-                // results, as did the (unfailing) last shard.
-                let inputs = [(
-                    "u",
-                    stimulus::constant(Value::Float(1.0 + 0.5 * i as f64), 6),
-                )];
-                let run = direct.run_batch(&[BatchScenario::new(&inputs, 6)]).unwrap();
-                assert_eq!(
-                    line,
-                    &scenario_line(i, &run[0], false, None, None),
-                    "line {i}"
-                );
-            }
-        }
+        assert_errors_exactly_at(&lines, 4..8, "oracle re-run failed: ");
         assert_eq!(
             outcome,
             SweepOutcome {
@@ -977,24 +925,47 @@ mod tests {
     }
 
     #[test]
-    fn oracle_error_on_the_last_shard_fails_the_whole_shard() {
-        // Scenario 9 (u = 5.5) sits in the last shard, checked inline: the
-        // batch re-run stops at it and every lane of the shard fails.
+    fn oracle_error_on_a_single_shard_fails_that_lane_and_the_rest() {
+        // One shard, so it is also the last: the oracle divides by zero at
+        // u = 3.5 (scenario 5), and only lanes 5.. fail.
         let (lines, outcome) = run_against(
-            oracle_with("((u * 2.0) * ((u - 5.5) / (u - 5.5)))"),
-            12,
+            sim_with("(u * 2.0)"),
+            oracle_with("((u * 2.0) * ((u - 3.5) / (u - 3.5)))"),
             8,
-            1,
+            8,
+            16,
         );
-        for (i, line) in lines.iter().enumerate() {
-            let e = error_of(line);
-            assert_eq!(e.is_some(), i >= 8, "line {i}: {e:?}");
-            if let Some(e) = e {
-                assert!(e.starts_with("oracle re-run failed: "), "line {i}: {e}");
+        assert_errors_exactly_at(&lines, 5..8, "oracle re-run failed: ");
+        assert_eq!(
+            outcome,
+            SweepOutcome {
+                scenarios: 8,
+                shards: 1,
+                oracle_shards: 1,
+                oracle_divergences: 0,
+                failed: true,
             }
-        }
-        assert_eq!((outcome.oracle_shards, outcome.oracle_divergences), (2, 0));
-        assert!(outcome.failed);
+        );
+    }
+
+    #[test]
+    fn failed_batch_fails_every_lane_of_its_shard() {
+        // Shards of 4 with N = 2: the model divides by zero at u = 3.0
+        // (scenario 4, unsampled shard 1) and u = 5.0 (scenario 8, sampled
+        // shard 2), so both batches fail; shard 0 runs and is checked.
+        let failing = "(((u * 2.0) * ((u - 3.0) / (u - 3.0))) * ((u - 5.0) / (u - 5.0)))";
+        let (lines, outcome) = run_against(sim_with(failing), oracle_with(failing), 12, 4, 2);
+        assert_errors_exactly_at(&lines, 4..12, "simulation failed: ");
+        assert_eq!(
+            outcome,
+            SweepOutcome {
+                scenarios: 12,
+                shards: 3,
+                oracle_shards: 2,
+                oracle_divergences: 0,
+                failed: true,
+            }
+        );
     }
 
     #[test]
@@ -1014,6 +985,63 @@ mod tests {
             SweepSpec::from_json(&doc),
             Err(ServiceError::TooLarge(_))
         ));
+
+        // An ill-typed field is a 400 naming it, never its default.
+        for (field, extra) in [
+            ("count", r#"{"count": -1}"#),
+            ("count", r#"{"count": 1.5}"#),
+            ("ticks", r#"{"ticks": "x"}"#),
+            ("lanes", r#"{"lanes": true}"#),
+            ("trace", r#"{"trace": 1}"#),
+            ("vcd", r#"{"vcd": "yes"}"#),
+            ("robustness", r#"{"robustness": null}"#),
+            (
+                "seed",
+                r#"{"inputs": [{"port": "u", "kind": "random", "seed": -1}]}"#,
+            ),
+            (
+                "every",
+                r#"{"faults": [{"target": "y", "kind": "drop", "every": "2"}]}"#,
+            ),
+            (
+                "lane_mod",
+                r#"{"faults": [{"target": "y", "kind": "drop", "lane_mod": 0.5}]}"#,
+            ),
+        ] {
+            let doc = parse(&spec_doc(extra)).unwrap();
+            match SweepSpec::from_json(&doc) {
+                Err(ServiceError::BadRequest(m)) => assert!(m.contains(field), "{field}: {m}"),
+                other => panic!("{extra} gave {other:?}"),
+            }
+        }
+        // An integer too large for its limit is a 413, not a default.
+        let doc = parse(&spec_doc(r#"{"ticks": 2e16}"#)).unwrap();
+        assert!(matches!(
+            SweepSpec::from_json(&doc),
+            Err(ServiceError::TooLarge(_))
+        ));
+    }
+
+    #[test]
+    fn scenario_ticks_are_capped_per_sweep() {
+        let accepts = |count: usize, ticks: usize| {
+            let doc = parse(&spec_doc(&format!(
+                r#"{{"count": {count}, "ticks": {ticks}}}"#
+            )))
+            .unwrap();
+            match SweepSpec::from_json(&doc) {
+                Ok(_) => true,
+                Err(ServiceError::TooLarge(_)) => false,
+                Err(e) => panic!("{count} x {ticks}: {e}"),
+            }
+        };
+        // The largest benchmark sweep, and the cap exactly.
+        assert!(accepts(64, 2_000));
+        assert!(accepts(16_384, 1_024));
+        // One tick over the cap, and both per-field maxima at once.
+        assert!(!accepts(16_384, 1_025));
+        assert!(!accepts(MAX_SCENARIOS, MAX_TICKS));
+        assert_eq!(16_384 * 1_024, MAX_SCENARIO_TICKS);
     }
 
     #[test]

@@ -250,6 +250,9 @@ fn malformed_and_oversized_requests_are_rejected() {
     // Bad limits.
     let resp = post_sweep(addr, r#"{"model": "model t\nroot X\n", "count": 0}"#).unwrap();
     assert_eq!(resp.status, 400);
+    // An ill-typed count is rejected, not defaulted.
+    let resp = post_sweep(addr, r#"{"model": "model t\nroot X\n", "count": 1.5}"#).unwrap();
+    assert_eq!(resp.status, 400);
     // Unknown component selector.
     let body = sweep_body(
         "model t\n\ncomponent G {\n  in u: float\n  out y: float\n  expr y = (u * 1.0)\n}\n\nroot G\n",
@@ -264,6 +267,38 @@ fn malformed_and_oversized_requests_are_rejected() {
     assert_eq!(get(addr, "/nope").unwrap().0, 404);
     let (code, body) = get(addr, "/healthz").unwrap();
     assert_eq!((code, body.as_str()), (200, "ok\n"));
+    server.shutdown();
+}
+
+#[test]
+fn over_budget_sweep_is_rejected_up_front_and_the_next_one_runs() {
+    let server = serve(small_config()).unwrap();
+    let addr = server.addr();
+    let text = "model t\n\ncomponent G {\n  in u: float\n  out y: float\n  expr y = (u * 2.0)\n}\n\nroot G\n";
+    // Each field is within its own limit; their product is not.
+    let resp = post_sweep(addr, &sweep_body(text, r#""count": 65536, "ticks": 1000"#)).unwrap();
+    assert_eq!(resp.status, 413, "{:?}", resp.lines);
+    let stats = |key: &str, field: &str| {
+        let (_, body) = get(addr, "/stats").unwrap();
+        let v = parse(&body).unwrap();
+        v.get(key).unwrap().get(field).unwrap().as_u64().unwrap()
+    };
+    // Nothing was compiled or run for it.
+    assert_eq!(stats("cache", "misses"), 0);
+    assert_eq!(stats("pool", "executed"), 0);
+    assert_eq!(stats("sweeps", "total"), 0);
+
+    let body = sweep_body(
+        text,
+        r#""count": 6, "ticks": 4, "lanes": 2, "inputs": [{"port": "u", "kind": "constant", "value": 1.0}]"#,
+    );
+    let resp = post_sweep(addr, &body).unwrap();
+    assert_eq!(resp.status, 200);
+    assert_eq!(resp.lines.len(), 6 + 2);
+    let done = parse(resp.lines.last().unwrap()).unwrap();
+    let done = done.get("done").expect("done line");
+    assert_eq!(done.get("status").unwrap().as_str(), Some("ok"));
+    assert_eq!(stats("pool", "executed"), 3);
     server.shutdown();
 }
 
