@@ -364,6 +364,24 @@ pub trait LaneKernel: fmt::Debug {
     fn take_lane_failures(&mut self, _failures: &mut Vec<LaneFailure>) -> bool {
         false
     }
+
+    /// Lane `l`'s current state index within the block's
+    /// [`Block::coverage_space`]: the lane-wise counterpart of
+    /// [`Block::coverage_state`], read once per stepped tick per active
+    /// lane on covered runs — must not allocate.
+    ///
+    /// A kernel of a block that exposes a coverage space must override
+    /// this. The default panics: a kernel without discrete state has no
+    /// meaningful answer, and a silent 0 would corrupt coverage maps.
+    ///
+    /// [`Block::coverage_space`]: crate::ops::Block::coverage_space
+    /// [`Block::coverage_state`]: crate::ops::Block::coverage_state
+    fn coverage_state(&self, _l: usize) -> usize {
+        panic!(
+            "{self:?}: a lane kernel of a block with a coverage space must \
+             override LaneKernel::coverage_state"
+        )
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -1471,9 +1471,8 @@ impl ReadyNetwork {
             Vec::new()
         };
 
-        // Covered runs force coverage sites onto replicas, whose per-lane
-        // discrete state stays readable through `Block::coverage_state`.
-        let mut stepper = LaneStepper::build(self, k, coverage.is_some(), gating_on);
+        // Covered and nominal runs place nodes alike (`lane_plan`).
+        let mut stepper = LaneStepper::build(self, k, gating_on);
         // External inputs as typed columns, restaged every tick.
         let mut ext = LaneStore::new(self.n_inputs, k);
         let mut active = vec![false; k];
@@ -1582,9 +1581,9 @@ impl ReadyNetwork {
                 traces[l].push_row_indexed(&observed)?;
             }
 
-            // Observe each active lane's discrete block state. Coverage
-            // sites run on replicas in covered runs, so their per-lane
-            // state is always readable here.
+            // Observe each active lane's discrete block state: a kernel
+            // node's from its lane kernel, a replica node's from the
+            // lane's replica.
             if let Some(cov) = coverage.as_deref_mut() {
                 for (l, &is_active) in active.iter().enumerate() {
                     if !is_active {
@@ -2248,6 +2247,140 @@ mod tests {
             .collect();
         let traces = ready.run_batch(&stims).unwrap();
         assert_eq!(traces[2].signal("y").unwrap()[0], Message::present(4i64));
+    }
+
+    /// A coverage site with a lane kernel: a three-state cycle that each
+    /// present input advances, emitting the new state. Counts its clones,
+    /// so a test can see whether a batch built per-lane replicas.
+    #[derive(Debug, Clone)]
+    struct CyclingSite {
+        state: usize,
+        clones: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl Block for CyclingSite {
+        fn name(&self) -> &str {
+            "cycling-site"
+        }
+        fn input_arity(&self) -> usize {
+            1
+        }
+        fn output_arity(&self) -> usize {
+            1
+        }
+        fn step(&mut self, _t: Tick, inputs: &[Message]) -> Result<Vec<Message>, KernelError> {
+            if inputs[0].is_present() {
+                self.state = (self.state + 1) % 3;
+            }
+            Ok(vec![Message::present(self.state as i64)])
+        }
+        fn reset(&mut self) {
+            self.state = 0;
+        }
+        fn clone_block(&self) -> Box<dyn Block + Send + Sync> {
+            self.clones
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            Box::new(self.clone())
+        }
+        fn lane_kernel(&self, k: usize) -> Option<Box<dyn crate::lanes::LaneKernel>> {
+            Some(Box::new(CyclingSiteLanes { state: vec![0; k] }))
+        }
+        fn coverage_space(&self) -> Option<crate::coverage::CoverageSpace> {
+            Some(crate::coverage::CoverageSpace {
+                states: vec!["s0".into(), "s1".into(), "s2".into()],
+                transitions: vec![(0, 1), (1, 2), (2, 0)],
+                initial: 0,
+            })
+        }
+        fn coverage_state(&self) -> usize {
+            self.state
+        }
+    }
+
+    /// [`CyclingSite`]'s lane kernel: one state per lane.
+    #[derive(Debug)]
+    struct CyclingSiteLanes {
+        state: Vec<usize>,
+    }
+
+    impl crate::lanes::LaneKernel for CyclingSiteLanes {
+        fn step_lanes(
+            &mut self,
+            _t: Tick,
+            inputs: &[LaneSlice<'_>],
+            out: &mut crate::lanes::LaneSliceMut<'_>,
+            active: &[bool],
+        ) -> Result<(), KernelError> {
+            for (l, state) in self.state.iter_mut().enumerate() {
+                if !active[l] {
+                    continue;
+                }
+                if inputs[0].get(l).is_present() {
+                    *state = (*state + 1) % 3;
+                }
+                out.set_value(l, &Value::Int(*state as i64));
+            }
+            Ok(())
+        }
+        fn coverage_state(&self, l: usize) -> usize {
+            self.state[l]
+        }
+    }
+
+    #[test]
+    fn covered_batch_reads_coverage_from_lane_kernels() {
+        // A covered batch steps a coverage site on its lane kernel: no
+        // replica is cloned, and each lane's map and trace equal a lone
+        // covered run's. Lane `l` sees `l` present inputs, so the lanes
+        // stop at different points of the cycle (lane 3 wraps around).
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        let clones = Arc::new(AtomicUsize::new(0));
+        let build = || {
+            let mut net = Network::new("covered");
+            let x = net.add_input("x");
+            let b = net.add_block(CyclingSite {
+                state: 0,
+                clones: Arc::clone(&clones),
+            });
+            net.connect_input(x, b.input(0)).unwrap();
+            net.expose_output("y", b.output(0)).unwrap();
+            net.prepare().unwrap()
+        };
+        let k = 8;
+        let ready = build();
+        assert_eq!(ready.lane_plan(k).replicas().count(), 0);
+        let stims: Vec<Vec<Vec<Message>>> = (0..k)
+            .map(|l| {
+                let mut s = Stream::new();
+                for t in 0..4 + l {
+                    s.push(if t < l {
+                        Message::present(t as i64)
+                    } else {
+                        Message::Absent
+                    });
+                }
+                stimulus_from_streams(&[s])
+            })
+            .collect();
+        let layout = Arc::new(ready.coverage_layout());
+        let mut maps: Vec<CoverageMap> = (0..k)
+            .map(|_| CoverageMap::new(Arc::clone(&layout)))
+            .collect();
+        clones.store(0, Ordering::SeqCst);
+        let traces = ready.run_batch_covered(&stims, &[], &mut maps).unwrap();
+        assert_eq!(clones.load(Ordering::SeqCst), 0, "the batch built replicas");
+        for (l, stim) in stims.iter().enumerate() {
+            let mut lone = build();
+            let mut map = CoverageMap::new(Arc::clone(&layout));
+            let trace = lone.run_covered(stim, &mut map).unwrap();
+            assert_eq!(traces[l], trace, "lane {l} trace");
+            assert_eq!(maps[l], map, "lane {l} coverage");
+        }
+        assert_eq!(maps[0].states_covered(), 1);
+        assert_eq!(maps[1].states_covered(), 2);
+        assert_eq!(maps[2].transitions_covered(), 2);
+        assert_eq!(maps[3].transitions_covered(), 3);
     }
 
     #[test]

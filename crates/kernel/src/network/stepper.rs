@@ -36,9 +36,6 @@ pub enum ReplicaReason {
     /// or a declared non-base clock): each lane's mode subnet counts its
     /// own ticks, so lanes cannot share one mode stepper.
     TickDependentModes,
-    /// A covered run observes the block's discrete state per lane, which a
-    /// fused lane kernel does not expose.
-    CoverageSite,
 }
 
 impl fmt::Display for ReplicaReason {
@@ -47,7 +44,6 @@ impl fmt::Display for ReplicaReason {
             ReplicaReason::MultiOutput => "multi-output",
             ReplicaReason::NoLaneKernel => "no lane kernel",
             ReplicaReason::TickDependentModes => "tick-dependent mode subnet",
-            ReplicaReason::CoverageSite => "coverage site",
         })
     }
 }
@@ -95,33 +91,26 @@ impl fmt::Display for LanePlan {
 }
 
 /// Picks node `i`'s lane kernel, or the reason it runs on replicas.
-fn classify(
-    net: &ReadyNetwork,
-    i: usize,
-    k: usize,
-    observe_coverage: bool,
-) -> Result<Box<dyn LaneKernel>, ReplicaReason> {
+fn classify(net: &ReadyNetwork, i: usize, k: usize) -> Result<Box<dyn LaneKernel>, ReplicaReason> {
     let block = &net.blocks[i];
     if net.out_offset[i + 1] - net.out_offset[i] != 1 {
         return Err(ReplicaReason::MultiOutput);
-    }
-    if observe_coverage && block.coverage_space().is_some() {
-        return Err(ReplicaReason::CoverageSite);
     }
     block.lane_kernel(k).ok_or_else(|| block.lane_refusal())
 }
 
 impl ReadyNetwork {
     /// Where each node runs in a typed batch of `k` lanes: on a lane
-    /// kernel, or on per-lane replicas and why. Nominal (uncovered) runs
-    /// are described; covered runs additionally put every coverage site on
-    /// replicas ([`ReplicaReason::CoverageSite`]).
+    /// kernel, or on per-lane replicas and why. Covered and nominal
+    /// batches share one plan: a covered batch reads a kernel node's
+    /// per-lane discrete state from its kernel
+    /// ([`LaneKernel::coverage_state`]).
     pub fn lane_plan(&self, k: usize) -> LanePlan {
         LanePlan {
             lanes: k,
             nodes: (0..self.blocks.len())
                 .map(|i| {
-                    let reason = classify(self, i, k, false).err();
+                    let reason = classify(self, i, k).err();
                     (self.blocks[i].name().to_string(), reason)
                 })
                 .collect(),
@@ -196,18 +185,17 @@ impl<N: Borrow<ReadyNetwork>> LaneStepper<N> {
     /// A stepper for `k` lanes of `net`, on the network's compiled clock
     /// engine.
     pub fn new(net: N, k: usize) -> Self {
-        LaneStepper::build(net, k, false, true)
+        LaneStepper::build(net, k, true)
     }
 
-    /// A stepper that optionally keeps coverage sites on replicas
-    /// (`observe_coverage`) and optionally runs ungated (`gated == false`,
-    /// for fault plans that do not compose with gating).
-    pub(crate) fn build(net: N, k: usize, observe_coverage: bool, gated: bool) -> Self {
+    /// A stepper that optionally runs ungated (`gated == false`, for fault
+    /// plans that do not compose with gating). Nodes are placed as in
+    /// [`ReadyNetwork::lane_plan`], covered runs included.
+    pub(crate) fn build(net: N, k: usize, gated: bool) -> Self {
         let r: &ReadyNetwork = net.borrow();
         let n = r.blocks.len();
-        let kernels: Vec<Option<Box<dyn LaneKernel>>> = (0..n)
-            .map(|i| classify(r, i, k, observe_coverage).ok())
-            .collect();
+        let kernels: Vec<Option<Box<dyn LaneKernel>>> =
+            (0..n).map(|i| classify(r, i, k).ok()).collect();
         let replicas = (0..n)
             .map(|i| {
                 if kernels[i].is_some() {
@@ -433,9 +421,12 @@ impl<N: Borrow<ReadyNetwork>> LaneStepper<N> {
         quiet_until_for(&self.engine, &mut self.heap, t, limit)
     }
 
-    /// Lane `l`'s coverage state of `node`, which must run on replicas
-    /// (built with `observe_coverage`).
+    /// Lane `l`'s coverage state of `node`: read from the node's lane
+    /// kernel when it has one, otherwise from its lane-`l` replica.
     pub(crate) fn coverage_state(&self, node: usize, l: usize) -> usize {
-        self.replicas[node][l].coverage_state()
+        match &self.kernels[node] {
+            Some(kern) => kern.coverage_state(l),
+            None => self.replicas[node][l].coverage_state(),
+        }
     }
 }

@@ -176,6 +176,10 @@ pub trait Block: fmt::Debug {
     /// blocks may be vectorized; the batch executor ignores kernels on
     /// multi-output blocks. Defaults to `None` (the executor falls back to
     /// per-lane replicas via [`Block::clone_block`]).
+    ///
+    /// A block that also exposes a [`Block::coverage_space`] must override
+    /// [`LaneKernel::coverage_state`] in its kernel: covered batches read
+    /// each lane's discrete state from the kernel, not from a replica.
     fn lane_kernel(&self, _k: usize) -> Option<Box<dyn LaneKernel>> {
         None
     }
@@ -196,6 +200,10 @@ pub trait Block: fmt::Debug {
     /// Called once per compiled plan when a covered run is requested;
     /// blocks that return `Some` must keep [`Block::coverage_state`] in the
     /// declared range at all times. Defaults to `None`.
+    ///
+    /// If the block also offers a [`Block::lane_kernel`], that kernel must
+    /// override [`LaneKernel::coverage_state`] with the same per-lane
+    /// answer, since covered batches step the block on its kernel.
     fn coverage_space(&self) -> Option<crate::coverage::CoverageSpace> {
         None
     }

@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use automode_core::model::{ComponentId, Model};
 use automode_kernel::network::rows_padded_with_absence;
@@ -99,6 +99,9 @@ pub struct CompiledSim {
     input_names: Vec<String>,
     /// Input name -> port index; the single-pass stimulus validator.
     input_index: HashMap<String, usize>,
+    /// The coverage layout, built on the first covered run or layout
+    /// request, so handles that never observe coverage never pay for it.
+    coverage_layout: OnceLock<Arc<CoverageLayout>>,
 }
 
 // The sweep service shares one compiled handle across its worker pool
@@ -129,6 +132,7 @@ impl CompiledSim {
             ready,
             input_names,
             input_index,
+            coverage_layout: OnceLock::new(),
         })
     }
 
@@ -412,9 +416,13 @@ impl CompiledSim {
     /// The discrete-state coverage layout of the compiled model: one site
     /// per MTD (modes and declared mode transitions) and STD (states and
     /// declared transitions) block, shared by every coverage map this
-    /// handle produces.
+    /// handle produces. Built once, on first use; clones of the handle
+    /// made after that share it.
     pub fn coverage_layout(&self) -> Arc<CoverageLayout> {
-        Arc::new(self.ready.coverage_layout())
+        Arc::clone(
+            self.coverage_layout
+                .get_or_init(|| Arc::new(self.ready.coverage_layout())),
+        )
     }
 
     /// [`CompiledSim::run`] that also accumulates mode/state coverage.

@@ -631,6 +631,10 @@ impl LaneKernel for MtdLanes {
         failures.append(&mut self.failures);
         true
     }
+
+    fn coverage_state(&self, l: usize) -> usize {
+        self.mode[l]
+    }
 }
 
 /// The STD interpreter block: a flat extended state machine with local

@@ -8,12 +8,14 @@
 //! across per-lane fault injection (gating-safe drops and value-rewriting
 //! faults that force the dense schedule).
 
-use automode_core::model::{Behavior, Component, ComponentId, Model};
+use automode_core::model::{
+    Behavior, Component, ComponentId, Composite, CompositeKind, Endpoint, Model,
+};
 use automode_core::std_machine::{Assign, StdMachine, StdTransition};
 use automode_core::types::DataType;
 use automode_core::Mtd;
 use automode_kernel::network::rows_padded_with_absence;
-use automode_kernel::{Corruptor, CoverageMap, FaultKind, FaultSpec, Stream, Value};
+use automode_kernel::{Corruptor, CoverageMap, FaultKind, FaultSpec, ReplicaReason, Stream, Value};
 use automode_lang::parse;
 use automode_sim::{elaborate, stimulus, BatchScenario, CompiledSim};
 use proptest::prelude::*;
@@ -23,6 +25,12 @@ use proptest::test_runner::TestCaseError;
 /// so random lanes genuinely walk the mode graph at lane-dependent ticks.
 fn mtd_model() -> (Model, ComponentId) {
     let mut m = Model::new("t");
+    let id = add_mtd(&mut m);
+    (m, id)
+}
+
+/// Adds [`mtd_model`]'s component (and its mode leaves) to `m`.
+fn add_mtd(m: &mut Model) -> ComponentId {
     let leaf = |m: &mut Model, name: &str, expr: &str| -> ComponentId {
         m.add_component(
             Component::new(name)
@@ -32,9 +40,9 @@ fn mtd_model() -> (Model, ComponentId) {
         )
         .unwrap()
     };
-    let lo = leaf(&mut m, "Low", "x * 0.0");
-    let mid = leaf(&mut m, "Mid", "x * 1.0");
-    let hi = leaf(&mut m, "High", "x * 2.0");
+    let lo = leaf(m, "Low", "x * 0.0");
+    let mid = leaf(m, "Mid", "x * 1.0");
+    let hi = leaf(m, "High", "x * 2.0");
     let mut mtd = Mtd::new();
     let ml = mtd.add_mode("Low", lo);
     let mm = mtd.add_mode("Mid", mid);
@@ -43,21 +51,25 @@ fn mtd_model() -> (Model, ComponentId) {
     mtd.add_transition(mm, mh, parse("x > 15.0").unwrap(), 0);
     mtd.add_transition(mm, ml, parse("x < 2.0").unwrap(), 1);
     mtd.add_transition(mh, mm, parse("x < 10.0").unwrap(), 0);
-    let id = m
-        .add_component(
-            Component::new("Regimes")
-                .input("x", DataType::Float)
-                .output("y", DataType::Float)
-                .with_behavior(Behavior::Mtd(mtd)),
-        )
-        .unwrap();
-    (m, id)
+    m.add_component(
+        Component::new("Regimes")
+            .input("x", DataType::Float)
+            .output("y", DataType::Float)
+            .with_behavior(Behavior::Mtd(mtd)),
+    )
+    .unwrap()
 }
 
 /// A three-state STD with a variable, so transition actions and guards both
 /// participate in the walked state graph.
 fn std_model() -> (Model, ComponentId) {
     let mut m = Model::new("t");
+    let id = add_std(&mut m);
+    (m, id)
+}
+
+/// Adds [`std_model`]'s component to `m`.
+fn add_std(m: &mut Model) -> ComponentId {
     let mut fsm = StdMachine::new();
     let idle = fsm.add_state("Idle");
     let armed = fsm.add_state("Armed");
@@ -99,12 +111,36 @@ fn std_model() -> (Model, ComponentId) {
         }],
         priority: 0,
     });
+    m.add_component(
+        Component::new("Trigger")
+            .input("x", DataType::Float)
+            .output("y", DataType::Float)
+            .with_behavior(Behavior::Std(fsm)),
+    )
+    .unwrap()
+}
+
+/// [`mtd_model`]'s MTD and [`std_model`]'s STD side by side in one DFD,
+/// both reading `x`: a covered batch steps the MTD on its lane kernel and
+/// the STD (which has none) on per-lane replicas.
+fn mixed_model() -> (Model, ComponentId) {
+    let mut m = Model::new("t");
+    let regimes = add_mtd(&mut m);
+    let trigger = add_std(&mut m);
+    let mut dfd = Composite::new(CompositeKind::Dfd);
+    dfd.instantiate("regimes", regimes);
+    dfd.instantiate("trigger", trigger);
+    dfd.connect(Endpoint::boundary("x"), Endpoint::child("regimes", "x"));
+    dfd.connect(Endpoint::boundary("x"), Endpoint::child("trigger", "x"));
+    dfd.connect(Endpoint::child("regimes", "y"), Endpoint::boundary("a"));
+    dfd.connect(Endpoint::child("trigger", "y"), Endpoint::boundary("b"));
     let id = m
         .add_component(
-            Component::new("Trigger")
+            Component::new("Mixed")
                 .input("x", DataType::Float)
-                .output("y", DataType::Float)
-                .with_behavior(Behavior::Std(fsm)),
+                .output("a", DataType::Float)
+                .output("b", DataType::Float)
+                .with_behavior(Behavior::Composite(dfd)),
         )
         .unwrap();
     (m, id)
@@ -299,6 +335,61 @@ proptest! {
         let lanes = make_lanes(37, 12, seed, with_faults);
         check_all_paths(&model, component, "x", &lanes)?;
     }
+
+    /// One covered batch mixes a kernel site (the MTD) and a replica site
+    /// (the STD); past 16 lanes, under per-lane faults, every lane's map
+    /// still equals its lone and reference runs'.
+    #[test]
+    fn mixed_kernel_and_replica_sites_agree_per_lane(
+        seed in any::<u64>(),
+        k in 17usize..40,
+        base_ticks in 1usize..24,
+    ) {
+        let (model, component) = mixed_model();
+        let lanes = make_lanes(k, base_ticks, seed, true);
+        check_all_paths(&model, component, "x", &lanes)?;
+    }
+}
+
+#[test]
+fn mixed_model_plans_the_mtd_on_a_kernel_and_the_std_on_replicas() {
+    let (model, component) = mixed_model();
+    let sim = CompiledSim::new(&model, component).unwrap();
+    let layout = sim.coverage_layout();
+    assert_eq!(layout.sites().len(), 2);
+    let plan = sim.lane_plan(32);
+    let replicas: Vec<(&str, ReplicaReason)> = plan.replicas().collect();
+    assert_eq!(replicas.len(), 1, "{plan}");
+    assert_eq!(replicas[0].1, ReplicaReason::NoLaneKernel, "{plan}");
+    let std_site = layout
+        .sites()
+        .iter()
+        .find(|s| s.states.len() == 3 && s.name == replicas[0].0);
+    assert!(
+        std_site.is_some(),
+        "the replica is not a coverage site: {plan}"
+    );
+}
+
+#[test]
+fn maps_from_two_batches_share_one_layout() {
+    let (model, component) = mtd_model();
+    let mut sim = CompiledSim::new(&model, component).unwrap();
+    let lanes = make_lanes(3, 8, 7, false);
+    let first = batch_maps(&sim, "x", &lanes).unwrap();
+    let second = batch_maps(&sim, "x", &lanes).unwrap();
+    let layout = sim.coverage_layout();
+    for map in first.iter().chain(&second) {
+        assert!(std::sync::Arc::ptr_eq(map.layout(), &layout));
+    }
+    let (_, lone) = sim
+        .run_covered(&[("x", lanes[0].stream.clone())], lanes[0].ticks)
+        .unwrap();
+    assert!(std::sync::Arc::ptr_eq(lone.layout(), &layout));
+    assert!(std::sync::Arc::ptr_eq(
+        &sim.clone().coverage_layout(),
+        &layout
+    ));
 }
 
 #[test]

@@ -1050,7 +1050,8 @@ mod tests {
 
     #[test]
     fn explain_plan_reports_the_lane_plan() {
-        // The Sec. 5 engine runs every node on a lane kernel at K = 32.
+        // The Sec. 5 engine runs every node on a lane kernel at K = 32,
+        // in covered batches too: one plan serves both.
         let out = cmd_simulate("engine", 8, true).unwrap();
         assert!(out.contains("lane plan: lanes=32 "), "{out}");
         assert!(out.contains(" replica=0\n"), "{out}");
