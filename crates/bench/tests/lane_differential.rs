@@ -14,7 +14,7 @@ use automode_core::model::{
 use automode_core::types::DataType;
 use automode_core::Mtd;
 use automode_kernel::lanes::{encode, TAG_OTHER};
-use automode_kernel::{Message, Stream, Trace, Value};
+use automode_kernel::{Message, Placement, Stream, Trace, Value};
 use automode_lang::parse;
 use automode_sim::{BatchScenario, CompiledSim, SimError};
 use rand::rngs::StdRng;
@@ -142,7 +142,7 @@ fn engine_and_moded_controller_run_without_replicas() {
     let (m, id) = automode_bench::moded_controller(8, 24, 1);
     let plan = CompiledSim::new(&m, id).unwrap().lane_plan(32);
     let root = plan.nodes.iter().find(|(n, _)| n == "mtd:Controller");
-    assert_eq!(root.map(|(_, r)| *r), Some(None), "{plan}");
+    assert_eq!(root.map(|(_, p)| *p), Some(Placement::Vectorized), "{plan}");
 }
 
 #[test]

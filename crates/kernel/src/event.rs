@@ -158,6 +158,9 @@ pub struct PlanInfo {
     /// heap backend covers the network — it explains *why* the heap is in
     /// use.
     pub wheel_rejection: Option<PlanRejection>,
+    /// Identity wires the plan forwards: their readers read the wire's
+    /// source, so no engine steps them.
+    pub forwarded: usize,
 }
 
 impl fmt::Display for PlanInfo {
@@ -166,6 +169,7 @@ impl fmt::Display for PlanInfo {
         if let Some(h) = self.hyperperiod {
             write!(f, " hyperperiod={h}")?;
         }
+        write!(f, " forwarded={}", self.forwarded)?;
         if let Some(r) = &self.wheel_rejection {
             write!(f, " wheel-rejected: {r}")?;
         }
@@ -284,9 +288,10 @@ pub(crate) struct Activation<'a> {
 }
 
 /// The compiled clock engine of a prepared network.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) enum Engine {
     /// Run the full schedule every tick.
+    #[default]
     Dense,
     /// Hyperperiod wheel (shared so cheap per-tick clones stay cheap).
     Wheel(Arc<WheelPlan>),

@@ -80,8 +80,8 @@ pub use fault::{
 };
 pub use lanes::{LaneFailure, LaneKernel, LaneSlice, LaneSliceMut, LaneStore};
 pub use network::{
-    BlockHandle, LanePlan, LaneStepper, Network, NodeId, PortRef, ReadyNetwork, ReferenceExecutor,
-    ReplicaReason,
+    BlockHandle, LanePlan, LaneStepper, Network, NodeId, Placement, PortRef, ReadyNetwork,
+    ReferenceExecutor, ReplicaReason,
 };
 pub use ops::{Block, ClockBehavior};
 pub use stream::Stream;

@@ -15,8 +15,11 @@
 //! ticks — the steady-state tick loop performs no heap allocation. Every
 //! executor steps the causality check's one evaluation order (the event
 //! engines only thin it per tick), so all of them meet a failing block in
-//! the same order. The original interpretive loop survives as
-//! [`ReferenceExecutor`] for differential tests and benchmarks.
+//! the same order. Identity wires ([`Block::is_wire`]) are not in it:
+//! their readers read the wire's source directly, unless a fault plan
+//! names the wire's output, which keeps it. The original interpretive loop
+//! survives as [`ReferenceExecutor`] for differential tests and
+//! benchmarks; it steps every wire.
 //!
 //! ## Batched execution
 //!
@@ -63,7 +66,7 @@ use crate::{Clock, Tick};
 
 mod stepper;
 
-pub use stepper::{LanePlan, LaneStepper, ReplicaReason};
+pub use stepper::{LanePlan, LaneStepper, Placement, ReplicaReason};
 
 /// Index of a node (block instance) within a network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -340,7 +343,9 @@ impl Network {
     }
 
     /// Runs the causality check and compiles the wiring into a flat
-    /// execution plan (see the module docs).
+    /// execution plan (see the module docs). Every reader of an identity
+    /// wire ([`Block::is_wire`]) is forwarded to the wire's own source, so
+    /// the plan never steps a wire.
     ///
     /// # Errors
     ///
@@ -369,91 +374,25 @@ impl Network {
 
         // Resolve every input port to a flat slot and cache its
         // instantaneity in a bitset over flat input indices.
+        let slot_of = |src: &Source| match *src {
+            Source::Open => Slot::Open,
+            Source::Node(from, p) => Slot::Arena(out_offset[from.0] + p),
+            Source::External(e) => Slot::External(e),
+        };
         let mut slots = Vec::with_capacity(total_inputs);
         let mut inst_bits = vec![0u64; total_inputs.div_ceil(64)];
         for (i, node) in self.nodes.iter().enumerate() {
             for (port, src) in node.sources.iter().enumerate() {
                 let k = slots.len();
-                slots.push(match *src {
-                    Source::Open => Slot::Open,
-                    Source::Node(from, p) => Slot::Arena(out_offset[from.0] + p),
-                    Source::External(e) => Slot::External(e),
-                });
+                slots.push(slot_of(src));
                 if node.block.input_is_instantaneous(port) {
                     inst_bits[k >> 6] |= 1u64 << (k & 63);
                 }
             }
             debug_assert_eq!(slots.len(), slot_offset[i + 1]);
         }
-
-        let mut probe_names = Vec::with_capacity(self.probes.len());
-        let mut probe_slots = Vec::with_capacity(self.probes.len());
-        for (name, src) in &self.probes {
-            probe_names.push(name.clone());
-            probe_slots.push(match *src {
-                Source::Open => Slot::Open,
-                Source::Node(from, p) => Slot::Arena(out_offset[from.0] + p),
-                Source::External(e) => Slot::External(e),
-            });
-        }
-
-        let commit_nodes: Vec<usize> = order
-            .iter()
-            .copied()
-            .filter(|&i| self.nodes[i].block.needs_commit())
-            .collect();
-
-        // Distill the clock facts for the event-engine compiler, demoting
-        // any behavior whose side conditions do not hold here. The presence
-        // reasoning assumes the listed ports are read instantaneously, and
-        // skipping a node assumes it observes nothing in the commit phase
-        // (Declared blocks excepted — their contract covers commit
-        // explicitly).
-        let metas: Vec<NodeMeta> = self
-            .nodes
-            .iter()
-            .map(|node| {
-                let block = &node.block;
-                let b = block.clock_behavior();
-                let sound = match &b {
-                    ClockBehavior::Opaque | ClockBehavior::Declared(_) => true,
-                    ClockBehavior::BoolGate(_) => block.output_arity() == 1,
-                    ClockBehavior::StrictEach(ports) | ClockBehavior::StrictAll(ports) => {
-                        !block.needs_commit()
-                            && ports.iter().all(|&p| {
-                                p < block.input_arity() && block.input_is_instantaneous(p)
-                            })
-                    }
-                    ClockBehavior::Sampler { cond } => {
-                        !block.needs_commit()
-                            && *cond < block.input_arity()
-                            && (0..block.input_arity()).all(|p| block.input_is_instantaneous(p))
-                    }
-                    ClockBehavior::Passthrough => {
-                        !block.needs_commit()
-                            && block.input_arity() >= 1
-                            && block.output_arity() == 1
-                            && block.input_is_instantaneous(0)
-                    }
-                };
-                NodeMeta {
-                    behavior: if sound { b } else { ClockBehavior::Opaque },
-                    sources: node
-                        .sources
-                        .iter()
-                        .map(|src| match *src {
-                            Source::Open => SrcRef::Open,
-                            Source::External(_) => SrcRef::External,
-                            Source::Node(from, p) => SrcRef::Node {
-                                node: from.0,
-                                port: p,
-                            },
-                        })
-                        .collect(),
-                }
-            })
-            .collect();
-        let (engine, wheel_rejection) = event::compile(&metas, &order, &commit_nodes);
+        let probe_slots: Vec<Slot> = self.probes.iter().map(|(_, src)| slot_of(src)).collect();
+        let probe_names: Vec<String> = self.probes.into_iter().map(|(name, _)| name).collect();
 
         let mut blocks: Vec<Box<dyn Block + Send + Sync>> = Vec::with_capacity(n);
         for node in self.nodes {
@@ -463,41 +402,32 @@ impl Network {
         }
 
         let observed = vec![Message::Absent; probe_slots.len()];
-        // Probe columns fed by external inputs — the only ones that can
-        // change on a quiet tick (the arena is untouched).
-        let ext_probe_cols: Vec<(usize, usize)> = probe_slots
-            .iter()
-            .enumerate()
-            .filter_map(|(j, s)| match s {
-                Slot::External(e) => Some((j, *e)),
-                _ => None,
-            })
-            .collect();
-        Ok(ReadyNetwork {
+        let mut ready = ReadyNetwork {
             name: self.name,
             blocks,
-            commit_nodes,
-            engine,
-            wheel_rejection,
+            plan: Plan::default(),
+            kept: None,
+            forwarded_reads: Vec::new(),
             heap_state: None,
             n_inputs: self.input_names.len(),
             probe_names,
-            probe_slots,
-            ext_probe_cols,
             slot_offset,
-            slots,
             inst_bits,
             out_offset,
             arena: vec![Message::Absent; total_outputs],
             scratch: vec![Message::Absent; total_inputs],
-            order,
             observed,
             fault_specs: Vec::new(),
             faults: None,
             ext_scratch: Vec::new(),
             vectorize_batch: true,
             tick: 0,
-        })
+        };
+        let no_keep = vec![false; n];
+        let (plan, forwarded_reads) = ready.forward(slots, probe_slots, &order, &no_keep, true);
+        ready.plan = plan;
+        ready.forwarded_reads = forwarded_reads;
+        Ok(ready)
     }
 
     /// Batch-runs the network over a stimulus (one row of input messages per
@@ -555,6 +485,81 @@ enum Slot {
     Arena(usize),
     /// An index into the external input row.
     External(usize),
+}
+
+/// Whether node `block` is an identity wire a plan may forward: the
+/// [`Block::is_wire`] promise, with the shape it implies checked.
+fn is_wire(block: &dyn Block) -> bool {
+    block.is_wire()
+        && block.input_arity() == 1
+        && block.output_arity() == 1
+        && block.input_is_instantaneous(0)
+        && !block.needs_commit()
+}
+
+/// A block's clock behavior as the event-engine compiler may use it:
+/// any behavior whose side conditions do not hold is demoted to
+/// [`ClockBehavior::Opaque`]. The presence reasoning assumes the listed
+/// ports are read instantaneously, and skipping a node assumes it observes
+/// nothing in the commit phase (Declared blocks excepted — their contract
+/// covers commit explicitly).
+fn sound_clock_behavior(block: &dyn Block) -> ClockBehavior {
+    let b = block.clock_behavior();
+    let sound = match &b {
+        ClockBehavior::Opaque | ClockBehavior::Declared(_) => true,
+        ClockBehavior::BoolGate(_) => block.output_arity() == 1,
+        ClockBehavior::StrictEach(ports) | ClockBehavior::StrictAll(ports) => {
+            !block.needs_commit()
+                && ports
+                    .iter()
+                    .all(|&p| p < block.input_arity() && block.input_is_instantaneous(p))
+        }
+        ClockBehavior::Sampler { cond } => {
+            !block.needs_commit()
+                && *cond < block.input_arity()
+                && (0..block.input_arity()).all(|p| block.input_is_instantaneous(p))
+        }
+        ClockBehavior::Passthrough => {
+            !block.needs_commit()
+                && block.input_arity() >= 1
+                && block.output_arity() == 1
+                && block.input_is_instantaneous(0)
+        }
+    };
+    if sound {
+        b
+    } else {
+        ClockBehavior::Opaque
+    }
+}
+
+/// The tables the stepping loops read: each input port's and probe's
+/// resolved source, the stepped order and commit list, and the clock
+/// engine compiled over them. Built by [`ReadyNetwork::forward`]; a
+/// forwarded wire appears in none of them.
+#[derive(Debug, Clone, Default)]
+struct Plan {
+    /// Resolved source of each flat input. A forwarded wire's own input
+    /// keeps its source unforwarded: nothing reads it while the wire is
+    /// forwarded, and rebuilding with the wire kept starts from it.
+    slots: Vec<Slot>,
+    /// Resolved source of each probe.
+    probe_slots: Vec<Slot>,
+    /// `(column, input)` pairs of probes fed by external inputs — the only
+    /// probe columns that vary across a quiet stretch.
+    ext_probe_cols: Vec<(usize, usize)>,
+    /// The causality check's evaluation order minus forwarded wires,
+    /// stepped by every engine.
+    order: Vec<usize>,
+    /// Nodes whose blocks need the phase-2 commit pass
+    /// ([`Block::needs_commit`]), in schedule order; commit-free nodes skip
+    /// the input re-gather entirely.
+    commit_nodes: Vec<usize>,
+    /// The compiled clock engine (see [`crate::event`]); `Engine::Dense`
+    /// runs the full schedule every tick.
+    engine: Engine,
+    /// Why no hyperperiod wheel was compiled, when one wasn't.
+    wheel_rejection: Option<PlanRejection>,
 }
 
 #[inline]
@@ -687,38 +692,32 @@ fn emit_quiet_rows(
 pub struct ReadyNetwork {
     name: String,
     blocks: Vec<Box<dyn Block + Send + Sync>>,
-    /// Nodes whose blocks need the phase-2 commit pass
-    /// ([`Block::needs_commit`]), in schedule order; commit-free nodes skip
-    /// the input re-gather entirely.
-    commit_nodes: Vec<usize>,
-    /// The compiled clock engine (see [`crate::event`]); `Engine::Dense`
-    /// runs the full schedule every tick.
-    engine: Engine,
-    /// Why no hyperperiod wheel was compiled, when one wasn't.
-    wheel_rejection: Option<PlanRejection>,
+    /// The nominal plan: every identity wire forwarded.
+    plan: Plan,
+    /// The plan in effect while the installed faults name a wire's
+    /// output: those wires are kept and stepped (`None` = `plan`).
+    kept: Option<Box<Plan>>,
+    /// The readers `plan` forwards past a wire, as `(reader, wire)` in
+    /// reader order: a reader below `plan.slots.len()` is a flat input,
+    /// any other is probe `reader - plan.slots.len()`. Enough to rebuild
+    /// the unforwarded wiring when a fault plan keeps a wire. `u32` halves
+    /// what a cached model keeps of it.
+    forwarded_reads: Vec<(u32, u32)>,
     /// The heap backend's positional cursor for the incremental path
     /// (lazily created; batch runs use their own local cursors).
     heap_state: Option<Box<HeapState>>,
     n_inputs: usize,
     probe_names: Vec<String>,
-    probe_slots: Vec<Slot>,
-    /// `(column, input)` pairs of probes fed by external inputs — the only
-    /// probe columns that vary across a quiet stretch.
-    ext_probe_cols: Vec<(usize, usize)>,
     /// Flat input range of node `i`: `slot_offset[i]..slot_offset[i + 1]`.
     slot_offset: Vec<usize>,
-    /// Resolved source of each flat input.
-    slots: Vec<Slot>,
     /// Bit `k` set iff flat input `k` is read instantaneously.
     inst_bits: Vec<u64>,
     /// Arena range of node `i`: `out_offset[i]..out_offset[i + 1]`.
     out_offset: Vec<usize>,
     /// Every node output of the current tick, flattened.
     arena: Vec<Message>,
-    /// Reused input gather buffer, laid out like `slots`.
+    /// Reused input gather buffer, laid out like `plan.slots`.
     scratch: Vec<Message>,
-    /// The causality check's evaluation order, stepped by every engine.
-    order: Vec<usize>,
     /// Reused probe output row.
     observed: Vec<Message>,
     /// Installed fault specs — the source of truth from which per-run
@@ -754,9 +753,10 @@ impl ReadyNetwork {
         self.tick
     }
 
-    /// The evaluation schedule (node indices in execution order).
+    /// The evaluation schedule (node indices in execution order) of the
+    /// nominal plan: every node but the forwarded identity wires.
     pub fn schedule(&self) -> &[usize] {
-        &self.order
+        &self.plan.order
     }
 
     /// Probed signal names, in declaration order — the column layout of
@@ -769,7 +769,10 @@ impl ReadyNetwork {
     /// semantically transparent, so this exists for benchmarks and
     /// differential tests that need the ungated executor.
     pub fn disable_clock_gating(&mut self) {
-        self.engine = Engine::Dense;
+        self.plan.engine = Engine::Dense;
+        if let Some(kept) = &mut self.kept {
+            kept.engine = Engine::Dense;
+        }
         self.heap_state = None;
     }
 
@@ -788,7 +791,7 @@ impl ReadyNetwork {
     /// the network exposes no usable static clock structure, runs on the
     /// heap backend, or gating has been disabled.
     pub fn gated_hyperperiod(&self) -> Option<u64> {
-        match &self.engine {
+        match &self.active_plan().engine {
             Engine::Wheel(g) => Some(g.hyperperiod),
             _ => None,
         }
@@ -803,7 +806,7 @@ impl ReadyNetwork {
     /// stepped with any tick numbering, e.g. per-lane step counts that
     /// differ from the caller's tick.
     pub fn is_tick_invariant(&self) -> bool {
-        matches!(self.engine, Engine::Dense)
+        matches!(self.plan.engine, Engine::Dense)
             && self.blocks.iter().all(|b| match b.clock_behavior() {
                 ClockBehavior::Declared(c) | ClockBehavior::BoolGate(c) => c.is_always_active(),
                 _ => true,
@@ -816,14 +819,220 @@ impl ReadyNetwork {
     }
 
     /// How this network will execute ticks: the engine backend in effect,
-    /// the wheel hyperperiod when one was compiled, and — when the wheel
-    /// was rejected — the reason ([`PlanRejection`]) instead of a silent
-    /// fallback.
+    /// the wheel hyperperiod when one was compiled, when the wheel was
+    /// rejected the reason ([`PlanRejection`]) instead of a silent
+    /// fallback, and how many identity wires the plan forwards.
     pub fn plan_info(&self) -> PlanInfo {
+        let plan = self.active_plan();
         PlanInfo {
-            kind: self.engine.kind(),
+            kind: plan.engine.kind(),
             hyperperiod: self.gated_hyperperiod(),
-            wheel_rejection: self.wheel_rejection,
+            wheel_rejection: plan.wheel_rejection,
+            forwarded: self.blocks.len() - plan.order.len(),
+        }
+    }
+
+    /// The plan the incremental path steps: the nominal one, or the one
+    /// keeping the wires the installed faults name.
+    fn active_plan(&self) -> &Plan {
+        self.kept.as_deref().unwrap_or(&self.plan)
+    }
+
+    /// Builds the stepping tables from the unforwarded wiring — `slots`
+    /// per flat input, `probe_slots` per probe — stepping the nodes of
+    /// `order` in that order. Every reader of an identity wire not in
+    /// `keep` reads the wire's own source instead, through chains of
+    /// wires: an arena cell, an external input or `Open`. Those wires
+    /// leave the order, the commit list and the engine; a kept wire
+    /// missing from `order` steps right after its source. With `gated`
+    /// off the engine is dense. Also returns the forwarded readers (see
+    /// `forwarded_reads`).
+    fn forward(
+        &self,
+        mut slots: Vec<Slot>,
+        mut probe_slots: Vec<Slot>,
+        order: &[usize],
+        keep: &[bool],
+        gated: bool,
+    ) -> (Plan, Vec<(u32, u32)>) {
+        let n = self.blocks.len();
+        let forwarded: Vec<bool> = (0..n)
+            .map(|i| !keep[i] && is_wire(&*self.blocks[i]))
+            .collect();
+        let wire_of = |slot: Slot| match slot {
+            Slot::Arena(a) => Some(self.arena_owner(a).0).filter(|&i| forwarded[i]),
+            _ => None,
+        };
+        // Each forwarded wire's source past every forwarded wire above it.
+        // A forwarded wire's own input is never rewritten below, so the
+        // chains stay walkable.
+        let root: Vec<Slot> = (0..n)
+            .map(|w| {
+                if !forwarded[w] {
+                    return Slot::Open;
+                }
+                let mut s = slots[self.slot_offset[w]];
+                while let Some(up) = wire_of(s) {
+                    s = slots[self.slot_offset[up]];
+                }
+                s
+            })
+            .collect();
+        let id = |i: usize| u32::try_from(i).expect("port and node indices fit in u32");
+        let mut reads = Vec::new();
+        for i in (0..n).filter(|&i| !forwarded[i]) {
+            let lo = self.slot_offset[i];
+            for (k, slot) in (lo..).zip(&mut slots[lo..self.slot_offset[i + 1]]) {
+                if let Some(w) = wire_of(*slot) {
+                    reads.push((id(k), id(w)));
+                    *slot = root[w];
+                }
+            }
+        }
+        let ni = slots.len();
+        for (j, s) in probe_slots.iter_mut().enumerate() {
+            if let Some(w) = wire_of(*s) {
+                reads.push((id(ni + j), id(w)));
+                *s = root[w];
+            }
+        }
+
+        // A kept wire missing from `order` reads a stepped node, another
+        // kept wire, an external input or `Open`: it steps right after the
+        // node it reads, or first.
+        let mut listed = vec![false; n];
+        for &i in order {
+            listed[i] = true;
+        }
+        let missing: Vec<usize> = (0..n).filter(|&i| !forwarded[i] && !listed[i]).collect();
+        let reads_node = |w: usize| match slots[self.slot_offset[w]] {
+            Slot::Arena(a) => Some(self.arena_owner(a).0),
+            _ => None,
+        };
+        let mut plan_order = Vec::with_capacity(n);
+        let mut stack = Vec::new();
+        let heads = missing.iter().copied().filter(|&w| reads_node(w).is_none());
+        let stepped = order.iter().copied().filter(|&i| !forwarded[i]);
+        for head in heads.chain(stepped) {
+            stack.push(head);
+            while let Some(x) = stack.pop() {
+                plan_order.push(x);
+                stack.extend(missing.iter().rev().filter(|&&w| reads_node(w) == Some(x)));
+            }
+        }
+        debug_assert_eq!(plan_order.len(), forwarded.iter().filter(|&&f| !f).count());
+        // A compiled model stays cached for many runs: keep no spare room.
+        plan_order.shrink_to_fit();
+        reads.shrink_to_fit();
+        let commit_nodes: Vec<usize> = plan_order
+            .iter()
+            .copied()
+            .filter(|&i| self.blocks[i].needs_commit())
+            .collect();
+
+        let (engine, wheel_rejection) = if gated {
+            let metas: Vec<NodeMeta> = self
+                .blocks
+                .iter()
+                .enumerate()
+                .map(|(i, block)| NodeMeta {
+                    behavior: sound_clock_behavior(&**block),
+                    sources: slots[self.slot_offset[i]..self.slot_offset[i + 1]]
+                        .iter()
+                        .map(|slot| match *slot {
+                            Slot::Open => SrcRef::Open,
+                            Slot::External(_) => SrcRef::External,
+                            Slot::Arena(a) => {
+                                let (node, port) = self.arena_owner(a);
+                                SrcRef::Node { node, port }
+                            }
+                        })
+                        .collect(),
+                })
+                .collect();
+            event::compile(&metas, &plan_order, &commit_nodes)
+        } else {
+            (Engine::Dense, self.plan.wheel_rejection)
+        };
+        // Probe columns fed by external inputs — the only ones that can
+        // change on a quiet tick (the arena is untouched).
+        let ext_probe_cols = probe_slots
+            .iter()
+            .enumerate()
+            .filter_map(|(j, s)| match s {
+                Slot::External(e) => Some((j, *e)),
+                _ => None,
+            })
+            .collect();
+        let plan = Plan {
+            slots,
+            probe_slots,
+            ext_probe_cols,
+            order: plan_order,
+            commit_nodes,
+            engine,
+            wheel_rejection,
+        };
+        (plan, reads)
+    }
+
+    /// The plan keeping every identity wire whose output one of `faults`
+    /// names, so only that wire's readers see the fault; `None` when they
+    /// name no wire and the nominal plan serves. A kept plan is gated only
+    /// when the nominal one is.
+    fn plan_keeping<'a>(&self, faults: impl IntoIterator<Item = &'a FaultPlan>) -> Option<Plan> {
+        let mut keep = vec![false; self.blocks.len()];
+        for fp in faults {
+            for (i, sites) in fp.node_faults.iter().enumerate() {
+                keep[i] |= !sites.is_empty() && is_wire(&*self.blocks[i]);
+            }
+        }
+        if !keep.contains(&true) {
+            return None;
+        }
+        let mut slots = self.plan.slots.clone();
+        let mut probe_slots = self.plan.probe_slots.clone();
+        let ni = slots.len();
+        for &(reader, wire) in &self.forwarded_reads {
+            let (reader, unforwarded) =
+                (reader as usize, Slot::Arena(self.out_offset[wire as usize]));
+            match reader.checked_sub(ni) {
+                None => slots[reader] = unforwarded,
+                Some(j) => probe_slots[j] = unforwarded,
+            }
+        }
+        let gated = !matches!(self.plan.engine, Engine::Dense);
+        Some(
+            self.forward(slots, probe_slots, &self.plan.order, &keep, gated)
+                .0,
+        )
+    }
+
+    /// Installs `faults` for the incremental path, with the plan keeping
+    /// every wire they name.
+    fn install_faults(&mut self, faults: Option<FaultPlan>) {
+        let kept = faults
+            .as_ref()
+            .and_then(|fp| self.plan_keeping([fp]))
+            .map(Box::new);
+        if kept.is_some() || self.kept.is_some() {
+            // The heap cursor is positional over one plan's node clocks.
+            self.heap_state = None;
+        }
+        self.kept = kept;
+        self.faults = faults;
+    }
+
+    /// Probe `j`'s unforwarded source: the wire it reads when the nominal
+    /// plan reads past one.
+    fn probe_origin(&self, j: usize) -> Slot {
+        let reader = self.plan.slots.len() + j;
+        match self
+            .forwarded_reads
+            .binary_search_by_key(&reader, |&(r, _)| r as usize)
+        {
+            Ok(x) => Slot::Arena(self.out_offset[self.forwarded_reads[x].1 as usize]),
+            Err(_) => self.plan.probe_slots[j],
         }
     }
 
@@ -851,14 +1060,14 @@ impl ReadyNetwork {
     pub fn set_faults(&mut self, specs: &[FaultSpec]) -> Result<(), KernelError> {
         let plan = self.compile_fault_plan(specs)?;
         self.fault_specs = specs.to_vec();
-        self.faults = if plan.is_empty() { None } else { Some(plan) };
+        self.install_faults(Some(plan).filter(|p| !p.is_empty()));
         Ok(())
     }
 
     /// Removes all installed faults; subsequent ticks run nominally.
     pub fn clear_faults(&mut self) {
         self.fault_specs.clear();
-        self.faults = None;
+        self.install_faults(None);
     }
 
     /// The installed fault specs, in installation order.
@@ -901,7 +1110,7 @@ impl ReadyNetwork {
                     .iter()
                     .position(|n| n == name)
                     .ok_or_else(unknown)?;
-                match self.probe_slots[j] {
+                match self.probe_origin(j) {
                     Slot::Arena(a) => {
                         let (node, port) = self.arena_owner(a);
                         Ok(FaultSite::Node { node, port })
@@ -951,8 +1160,10 @@ impl ReadyNetwork {
     /// contract.
     pub fn inferred_contracts(&self) -> ContractMonitor {
         let mut monitor = ContractMonitor::new();
-        for (j, &slot) in self.probe_slots.iter().enumerate() {
-            let Slot::Arena(a) = slot else { continue };
+        for j in 0..self.probe_names.len() {
+            let Slot::Arena(a) = self.probe_origin(j) else {
+                continue;
+            };
             let (i, _) = self.arena_owner(a);
             match self.blocks[i].clock_behavior() {
                 ClockBehavior::Declared(clock) => monitor.push(ChannelContract {
@@ -1031,16 +1242,17 @@ impl ReadyNetwork {
         // schedule: value-rewriting faults can invalidate the gate patterns
         // the plan was proven against, and stateful faults must advance at
         // every tick. Semantics are identical either way.
+        let plan = self.kept.as_deref().unwrap_or(&self.plan);
         let engine = if self.faults.as_ref().is_some_and(|f| !f.gating_safe) {
             Engine::Dense
         } else {
-            self.engine.clone()
+            plan.engine.clone()
         };
         // The heap cursor moves out of `self` for the tick so its buffers
         // can be borrowed while stepping mutates disjoint fields; a `?`
         // early-out simply drops it, and the next tick rebuilds.
         let mut heap = self.heap_state.take();
-        let act = activation_for(&engine, &self.order, &self.commit_nodes, &mut heap, t);
+        let act = activation_for(&engine, &plan.order, &plan.commit_nodes, &mut heap, t);
 
         // Clear the outputs of nodes that just went inert; the skip then
         // keeps them absent until they reactivate.
@@ -1052,7 +1264,7 @@ impl ReadyNetwork {
         for &i in act.nodes {
             gather_inputs(
                 &mut self.scratch,
-                &self.slots,
+                &plan.slots,
                 &self.inst_bits,
                 self.slot_offset[i]..self.slot_offset[i + 1],
                 &self.arena,
@@ -1072,7 +1284,7 @@ impl ReadyNetwork {
         // blocks actually observe them, minus any inert this tick.
         for &i in act.commits {
             for k in self.slot_offset[i]..self.slot_offset[i + 1] {
-                self.scratch[k] = resolve_slot(self.slots[k], &self.arena, externals);
+                self.scratch[k] = resolve_slot(plan.slots[k], &self.arena, externals);
             }
             self.blocks[i].commit(
                 t,
@@ -1081,7 +1293,7 @@ impl ReadyNetwork {
         }
 
         // Observe probes into the reused row.
-        for (j, &slot) in self.probe_slots.iter().enumerate() {
+        for (j, &slot) in plan.probe_slots.iter().enumerate() {
             self.observed[j] = resolve_slot(slot, &self.arena, externals);
         }
         self.tick += 1;
@@ -1161,7 +1373,8 @@ impl ReadyNetwork {
             // advanced, so a faulted run steps every tick.
             if self.faults.is_none() {
                 let limit = self.tick + (stimulus.len() - i) as Tick;
-                let end = quiet_until_for(&self.engine, &mut self.heap_state, self.tick, limit);
+                let end =
+                    quiet_until_for(&self.plan.engine, &mut self.heap_state, self.tick, limit);
                 if end > self.tick {
                     let skip = (end - self.tick) as usize;
                     self.push_quiet_rows(&mut trace, &stimulus[i..i + skip])?;
@@ -1216,12 +1429,13 @@ impl ReadyNetwork {
             }
             ok += 1;
         }
+        let plan = self.kept.as_deref().unwrap_or(&self.plan);
         emit_quiet_rows(
             trace,
             &mut self.observed,
-            &self.probe_slots,
-            &self.ext_probe_cols,
-            |j| resolve_slot(self.probe_slots[j], &self.arena, &[]),
+            &plan.probe_slots,
+            &plan.ext_probe_cols,
+            |j| resolve_slot(plan.probe_slots[j], &self.arena, &[]),
             &rows[..ok],
         )?;
         self.tick += ok as Tick;
@@ -1385,9 +1599,11 @@ impl ReadyNetwork {
         let mut specs = self.fault_specs.clone();
         specs.extend_from_slice(lane_faults);
         let plan = self.compile_fault_plan(&specs)?;
-        let installed = self.faults.take();
+        let installed = (self.faults.take(), self.kept.take());
         let trace = self.run_alone(stimulus, Some(plan), None);
-        self.faults = installed;
+        (self.faults, self.kept) = installed;
+        // The heap cursor is positional over the lane's plan.
+        self.heap_state = None;
         trace
     }
 
@@ -1399,7 +1615,7 @@ impl ReadyNetwork {
         plan: Option<FaultPlan>,
         coverage: Option<&mut CoverageMap>,
     ) -> Result<Trace, KernelError> {
-        self.faults = plan.filter(|p| !p.is_empty());
+        self.install_faults(plan.filter(|p| !p.is_empty()));
         self.reset();
         self.run_inner(stimulus, coverage)
     }
@@ -1471,12 +1687,14 @@ impl ReadyNetwork {
             Vec::new()
         };
 
-        // Covered and nominal runs place nodes alike (`lane_plan`).
-        let mut stepper = LaneStepper::build(self, k, gating_on);
+        // Covered and nominal runs place nodes alike (`lane_plan`); lane
+        // faults naming a wire keep it for the whole batch.
+        let kept = lane_plans.as_ref().and_then(|ps| self.plan_keeping(ps));
+        let mut stepper = LaneStepper::build(self, k, gating_on, kept);
         // External inputs as typed columns, restaged every tick.
         let mut ext = LaneStore::new(self.n_inputs, k);
         let mut active = vec![false; k];
-        let mut observed = vec![Message::Absent; self.probe_slots.len()];
+        let mut observed = vec![Message::Absent; self.probe_names.len()];
         let mut failures: Vec<LaneFailure> = Vec::new();
         // The batch fails like K sequential runs: with the error of its
         // lowest failing lane. A failing lane masks itself and every lane
@@ -1510,8 +1728,8 @@ impl ReadyNetwork {
                         emit_quiet_rows(
                             &mut traces[l],
                             &mut observed,
-                            &self.probe_slots,
-                            &self.ext_probe_cols,
+                            &self.plan.probe_slots,
+                            &self.plan.ext_probe_cols,
                             |j| stepper.probe(j, &[]).get(l),
                             &stimuli[l][t..upto],
                         )?;
@@ -1611,19 +1829,15 @@ impl Clone for ReadyNetwork {
             blocks: self.blocks.iter().map(|b| b.clone_block()).collect(),
             n_inputs: self.n_inputs,
             probe_names: self.probe_names.clone(),
-            probe_slots: self.probe_slots.clone(),
+            plan: self.plan.clone(),
+            kept: self.kept.clone(),
+            forwarded_reads: self.forwarded_reads.clone(),
             slot_offset: self.slot_offset.clone(),
-            slots: self.slots.clone(),
             inst_bits: self.inst_bits.clone(),
-            commit_nodes: self.commit_nodes.clone(),
-            engine: self.engine.clone(),
-            wheel_rejection: self.wheel_rejection,
             heap_state: self.heap_state.clone(),
-            ext_probe_cols: self.ext_probe_cols.clone(),
             out_offset: self.out_offset.clone(),
             arena: self.arena.clone(),
             scratch: self.scratch.clone(),
-            order: self.order.clone(),
             observed: self.observed.clone(),
             fault_specs: self.fault_specs.clone(),
             faults: self.faults.clone(),

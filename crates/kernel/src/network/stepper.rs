@@ -2,11 +2,13 @@
 //!
 //! [`LaneStepper`] holds the per-batch state of one prepared network at K
 //! lanes — typed arena columns, one [`LaneKernel`] per vectorized node and
-//! K per-lane replicas per remaining node — and steps all K lanes through
-//! one tick per call. [`ReadyNetwork::run_batch`] drives one stepper over
-//! the whole batch (adding quiet-stretch skips, fault staging, trace
-//! observation and coverage around it); the MTD lane kernel drives one per
-//! mode subnet, under a per-tick mask of the lanes currently in that mode.
+//! K per-lane replicas per remaining stepped node — and steps all K lanes
+//! through one tick per call. A forwarded identity wire is not stepped and
+//! gets neither: its readers read its source's column.
+//! [`ReadyNetwork::run_batch`] drives one stepper over the whole batch
+//! (adding quiet-stretch skips, fault staging, trace observation and
+//! coverage around it); the MTD lane kernel drives one per mode subnet,
+//! under a per-tick mask of the lanes currently in that mode.
 //!
 //! Failures are attributed per lane and never abort a tick: a failing lane
 //! is recorded with its own first error — the error it would hit run in
@@ -15,7 +17,7 @@
 use std::borrow::Borrow;
 use std::fmt;
 
-use super::{activation_for, quiet_until_for, ReadyNetwork, Slot};
+use super::{activation_for, quiet_until_for, Plan, ReadyNetwork, Slot};
 use crate::event::{Engine, HeapState};
 use crate::fault::FaultPlan;
 use crate::lanes::{LaneFailure, LaneKernel, LaneSlice, LaneStore};
@@ -48,40 +50,61 @@ impl fmt::Display for ReplicaReason {
     }
 }
 
+/// Where one node runs in a typed batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Placement {
+    /// A lane kernel steps all lanes per call.
+    Vectorized,
+    /// An identity wire the plan forwards: never stepped, its readers read
+    /// its source.
+    Forwarded,
+    /// Per-lane replicas step it, for the given reason.
+    Replica(ReplicaReason),
+}
+
 /// Where each node of a prepared network runs in a typed batch of K
 /// lanes ([`ReadyNetwork::lane_plan`]).
 #[derive(Debug, Clone)]
 pub struct LanePlan {
     /// The lane count the plan was made for.
     pub lanes: usize,
-    /// Per node, in node order: the block name and `None` when a lane
-    /// kernel steps it, or why it runs on replicas.
-    pub nodes: Vec<(String, Option<ReplicaReason>)>,
+    /// Per node, in node order: the block name and where it runs.
+    pub nodes: Vec<(String, Placement)>,
 }
 
 impl LanePlan {
+    fn count(&self, placement: Placement) -> usize {
+        self.nodes.iter().filter(|(_, p)| *p == placement).count()
+    }
+
     /// Number of nodes stepped by lane kernels.
     pub fn vectorized(&self) -> usize {
-        self.nodes.iter().filter(|(_, r)| r.is_none()).count()
+        self.count(Placement::Vectorized)
+    }
+
+    /// Number of forwarded identity wires, which are not stepped.
+    pub fn forwarded(&self) -> usize {
+        self.count(Placement::Forwarded)
     }
 
     /// The replica nodes with their reasons, in node order.
     pub fn replicas(&self) -> impl Iterator<Item = (&str, ReplicaReason)> {
-        self.nodes
-            .iter()
-            .filter_map(|(n, r)| r.map(|r| (n.as_str(), r)))
+        self.nodes.iter().filter_map(|(n, p)| match p {
+            Placement::Replica(r) => Some((n.as_str(), *r)),
+            _ => None,
+        })
     }
 }
 
 impl fmt::Display for LanePlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let replicas = self.nodes.len() - self.vectorized();
         write!(
             f,
-            "lanes={} vectorized={} replica={}",
+            "lanes={} vectorized={} forwarded={} replica={}",
             self.lanes,
             self.vectorized(),
-            replicas
+            self.forwarded(),
+            self.replicas().count()
         )?;
         for (name, reason) in self.replicas() {
             write!(f, "\n  replica {name}: {reason}")?;
@@ -101,21 +124,38 @@ fn classify(net: &ReadyNetwork, i: usize, k: usize) -> Result<Box<dyn LaneKernel
 
 impl ReadyNetwork {
     /// Where each node runs in a typed batch of `k` lanes: on a lane
-    /// kernel, or on per-lane replicas and why. Covered and nominal
-    /// batches share one plan: a covered batch reads a kernel node's
-    /// per-lane discrete state from its kernel
+    /// kernel, forwarded, or on per-lane replicas and why. Covered and
+    /// nominal batches share one plan: a covered batch reads a kernel
+    /// node's per-lane discrete state from its kernel
     /// ([`LaneKernel::coverage_state`]).
     pub fn lane_plan(&self, k: usize) -> LanePlan {
+        let stepped = stepped_nodes(&self.plan, self.blocks.len());
         LanePlan {
             lanes: k,
             nodes: (0..self.blocks.len())
                 .map(|i| {
-                    let reason = classify(self, i, k).err();
-                    (self.blocks[i].name().to_string(), reason)
+                    let placement = if !stepped[i] {
+                        Placement::Forwarded
+                    } else {
+                        match classify(self, i, k) {
+                            Ok(_) => Placement::Vectorized,
+                            Err(reason) => Placement::Replica(reason),
+                        }
+                    };
+                    (self.blocks[i].name().to_string(), placement)
                 })
                 .collect(),
         }
     }
+}
+
+/// Per node: whether `plan` steps it (every node but the forwarded wires).
+fn stepped_nodes(plan: &Plan, n: usize) -> Vec<bool> {
+    let mut stepped = vec![false; n];
+    for &i in &plan.order {
+        stepped[i] = true;
+    }
+    stepped
 }
 
 /// Empties `v` and re-types it for a new borrow lifetime. The in-place
@@ -152,6 +192,9 @@ fn column<'a>(
 /// touched. Lanes that are not active in a call keep their state.
 pub struct LaneStepper<N: Borrow<ReadyNetwork>> {
     net: N,
+    /// The plan keeping the wires the batch's faults name (`None` = the
+    /// network's nominal plan).
+    kept: Option<Plan>,
     k: usize,
     kernels: Vec<Option<Box<dyn LaneKernel>>>,
     /// Per-lane replicas of the nodes without a kernel (empty otherwise).
@@ -185,20 +228,25 @@ impl<N: Borrow<ReadyNetwork>> LaneStepper<N> {
     /// A stepper for `k` lanes of `net`, on the network's compiled clock
     /// engine.
     pub fn new(net: N, k: usize) -> Self {
-        LaneStepper::build(net, k, true)
+        LaneStepper::build(net, k, true, None)
     }
 
-    /// A stepper that optionally runs ungated (`gated == false`, for fault
-    /// plans that do not compose with gating). Nodes are placed as in
-    /// [`ReadyNetwork::lane_plan`], covered runs included.
-    pub(crate) fn build(net: N, k: usize, gated: bool) -> Self {
+    /// A stepper on plan `kept` (`None` = the network's nominal plan) that
+    /// optionally runs ungated (`gated == false`, for fault plans that do
+    /// not compose with gating). Nodes are placed as in
+    /// [`ReadyNetwork::lane_plan`], covered runs included; a wire `kept`
+    /// steps runs on its lane kernel.
+    pub(super) fn build(net: N, k: usize, gated: bool, kept: Option<Plan>) -> Self {
         let r: &ReadyNetwork = net.borrow();
         let n = r.blocks.len();
-        let kernels: Vec<Option<Box<dyn LaneKernel>>> =
-            (0..n).map(|i| classify(r, i, k).ok()).collect();
+        let plan = kept.as_ref().unwrap_or(&r.plan);
+        let stepped = stepped_nodes(plan, n);
+        let kernels: Vec<Option<Box<dyn LaneKernel>>> = (0..n)
+            .map(|i| stepped[i].then(|| classify(r, i, k).ok()).flatten())
+            .collect();
         let replicas = (0..n)
             .map(|i| {
-                if kernels[i].is_some() {
+                if !stepped[i] || kernels[i].is_some() {
                     return Vec::new();
                 }
                 (0..k)
@@ -219,12 +267,13 @@ impl<N: Borrow<ReadyNetwork>> LaneStepper<N> {
             .max()
             .unwrap_or(0);
         let engine = if gated {
-            r.engine.clone()
+            plan.engine.clone()
         } else {
             Engine::Dense
         };
         let arena = LaneStore::new(*r.out_offset.last().unwrap(), k);
         LaneStepper {
+            kept,
             k,
             kernels,
             replicas,
@@ -273,6 +322,7 @@ impl<N: Borrow<ReadyNetwork>> LaneStepper<N> {
     ) {
         let LaneStepper {
             net,
+            kept,
             k,
             kernels,
             replicas,
@@ -287,10 +337,11 @@ impl<N: Borrow<ReadyNetwork>> LaneStepper<N> {
             ports,
         } = self;
         let net: &ReadyNetwork = (*net).borrow();
+        let plan = kept.as_ref().unwrap_or(&net.plan);
         let k = *k;
         assert!(inputs.len() >= net.n_inputs, "one column per input");
         mask.copy_from_slice(active);
-        let act = activation_for(engine, &net.order, &net.commit_nodes, heap, t);
+        let act = activation_for(engine, &plan.order, &plan.commit_nodes, heap, t);
 
         // Clear all lanes of nodes that just went inert.
         for &i in act.clears {
@@ -308,7 +359,7 @@ impl<N: Borrow<ReadyNetwork>> LaneStepper<N> {
                 let mut cols = recycle(std::mem::take(ports));
                 cols.extend((lo..hi).map(|flat| {
                     if net.inst(flat) {
-                        column(net.slots[flat], arena, inputs, absent)
+                        column(plan.slots[flat], arena, inputs, absent)
                     } else {
                         absent.slice(0)
                     }
@@ -350,7 +401,7 @@ impl<N: Borrow<ReadyNetwork>> LaneStepper<N> {
                     }
                     for (m, flat) in in_msgs.iter_mut().zip(lo..hi) {
                         *m = if net.inst(flat) {
-                            column(net.slots[flat], arena, inputs, absent).get(l)
+                            column(plan.slots[flat], arena, inputs, absent).get(l)
                         } else {
                             Message::Absent
                         };
@@ -391,7 +442,7 @@ impl<N: Borrow<ReadyNetwork>> LaneStepper<N> {
             let (lo, hi) = (net.slot_offset[i], net.slot_offset[i + 1]);
             if let Some(kern) = kernels[i].as_mut() {
                 let mut cols = recycle(std::mem::take(ports));
-                cols.extend((lo..hi).map(|flat| column(net.slots[flat], arena, inputs, absent)));
+                cols.extend((lo..hi).map(|flat| column(plan.slots[flat], arena, inputs, absent)));
                 kern.commit_lanes(t, &cols, mask);
                 *ports = recycle(cols);
             } else {
@@ -400,7 +451,7 @@ impl<N: Borrow<ReadyNetwork>> LaneStepper<N> {
                         continue;
                     }
                     for (m, flat) in in_msgs.iter_mut().zip(lo..hi) {
-                        *m = column(net.slots[flat], arena, inputs, absent).get(l);
+                        *m = column(plan.slots[flat], arena, inputs, absent).get(l);
                     }
                     replicas[i][l].commit(t, &in_msgs[..hi - lo]);
                 }
@@ -411,7 +462,11 @@ impl<N: Borrow<ReadyNetwork>> LaneStepper<N> {
     /// Probe `j`'s column after a step ([`ReadyNetwork::probe_names`]
     /// order); `inputs` are the columns the step read.
     pub fn probe<'a>(&'a self, j: usize, inputs: &[LaneSlice<'a>]) -> LaneSlice<'a> {
-        let slot = self.net.borrow().probe_slots[j];
+        let slot = self
+            .kept
+            .as_ref()
+            .unwrap_or(&self.net.borrow().plan)
+            .probe_slots[j];
         column(slot, &self.arena, inputs, &self.absent)
     }
 

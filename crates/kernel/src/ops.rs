@@ -157,6 +157,18 @@ pub trait Block: fmt::Debug {
         ClockBehavior::Opaque
     }
 
+    /// Whether the block is an identity wire: one instantaneous input, one
+    /// output, no state and no commit, and output 0 carries input 0's
+    /// message unchanged at every tick, absence included.
+    ///
+    /// [`Network::prepare`](crate::network::Network::prepare) forwards
+    /// every reader of a wire to the wire's own source, so a wire costs no
+    /// step — unless a fault plan names its output, which keeps it.
+    /// Defaults to `false`.
+    fn is_wire(&self) -> bool {
+        false
+    }
+
     /// Resets internal state to the initial configuration.
     fn reset(&mut self) {}
 
@@ -1128,7 +1140,9 @@ impl Block for Merge {
 /// Elaboration inserts these at component port boundaries. Unlike an opaque
 /// closure, `Identity` declares [`ClockBehavior::Passthrough`], so static
 /// clock information — declared clocks, Boolean gate streams — flows through
-/// component boundaries and keeps downstream nodes gateable.
+/// component boundaries and keeps downstream nodes gateable. It is a
+/// [`Block::is_wire`]: a prepared network reads its source directly and
+/// never steps it, unless a fault plan names its output.
 #[derive(Debug, Clone)]
 pub struct Identity {
     name: std::sync::Arc<str>,
@@ -1158,6 +1172,9 @@ impl Block for Identity {
     commit_free!();
     fn clock_behavior(&self) -> ClockBehavior {
         ClockBehavior::Passthrough
+    }
+    fn is_wire(&self) -> bool {
+        true
     }
     fn step_into(
         &mut self,

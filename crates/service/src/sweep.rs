@@ -685,10 +685,12 @@ fn run_shard(spec: &SweepSpec, sim: &CompiledSim, sampled: bool, shard_idx: usiz
         }
     };
     let monitor = spec.robustness.then(|| sim.monitor());
+    // Each run is dropped as soon as its line is encoded, so a shard never
+    // holds all its traces and all its lines at once.
     let lines = runs
-        .iter()
+        .into_iter()
         .zip(start..)
-        .map(|(run, i)| result_line(spec, monitor.as_ref(), i, run))
+        .map(|(run, i)| result_line(spec, monitor.as_ref(), i, &run))
         .collect();
     ShardOut::Lines {
         lines,

@@ -9,7 +9,9 @@
 //!
 //! * `in:{path}.{port}` — the pass-through block fanning out input `port`
 //!   of the instance at `path`; faulting its output port 0 intercepts
-//!   everything that instance reads on that port.
+//!   everything that instance reads on that port. An unfaulted `in:` wire
+//!   costs no step: [`Network::prepare`] forwards its readers to its
+//!   source, and only a fault plan naming the wire keeps it.
 //! * `{path}.{output}` — the expression block defining output `output` of a
 //!   `Behavior::Expr` component.
 //! * `stub:{path}.{port}` — the all-absent stub standing in for an

@@ -169,10 +169,11 @@ const EXPLAIN_LANES: usize = 32;
 /// `automode simulate <model> [ticks] [--explain-plan]` — run with the
 /// default stimulus and print the Fig. 1-style trace table. With
 /// `--explain-plan`, the compiled network's execution plan (engine
-/// backend, gated hyperperiod, and the wheel-rejection reason when the
-/// calendar fast path fell off) and its lane plan for a batch of
-/// [`EXPLAIN_LANES`] lanes (vectorized and replica node counts, and why
-/// each replica node fell off the lane path) are printed first.
+/// backend, gated hyperperiod, forwarded identity wires, and the
+/// wheel-rejection reason when the calendar fast path fell off) and its
+/// lane plan for a batch of [`EXPLAIN_LANES`] lanes (vectorized, forwarded
+/// and replica node counts, and why each replica node fell off the lane
+/// path) are printed first.
 ///
 /// # Errors
 ///
@@ -1050,12 +1051,22 @@ mod tests {
 
     #[test]
     fn explain_plan_reports_the_lane_plan() {
-        // The Sec. 5 engine runs every node on a lane kernel at K = 32,
-        // in covered batches too: one plan serves both.
+        // The Sec. 5 engine runs every stepped node on a lane kernel at
+        // K = 32, in covered batches too: one plan serves both. 37 of its
+        // 49 nodes are `in:` port-boundary wires, forwarded and never
+        // stepped.
         let out = cmd_simulate("engine", 8, true).unwrap();
-        assert!(out.contains("lane plan: lanes=32 "), "{out}");
-        assert!(out.contains(" replica=0\n"), "{out}");
+        assert!(
+            out.contains("execution plan: engine=dense forwarded=37 "),
+            "{out}"
+        );
+        assert!(
+            out.contains("lane plan: lanes=32 vectorized=12 forwarded=37 replica=0\n"),
+            "{out}"
+        );
         assert!(!out.contains("  replica "), "{out}");
+        let (m, id) = build_model("engine").unwrap();
+        assert_eq!(automode_sim::elaborate(&m, id).unwrap().node_count(), 49);
     }
 
     #[test]
