@@ -1,16 +1,19 @@
 //! `POST /explore` — coverage-guided exploration as a service.
 //!
-//! The request carries an `.amdl` model plus an exploration budget; the
-//! handler reuses the sweep infrastructure end to end: the compiled-model
-//! cache hands back the shared [`CompiledSim`], and every generation's
-//! population is sharded into `lanes`-wide chunks executed on the
-//! worker pool behind the explorer's
-//! [`PopulationRunner`](automode_explore::PopulationRunner) trait. Results
-//! stream back as ndjson: a header line, one line per generation with the
-//! cumulative coverage and its delta, one line per shrunk violation
-//! repro (scenario JSON + golden trace inline), and a done line.
+//! The request carries an `.amdl` model plus an exploration budget
+//! (`generations × population × ticks` at most 2^24 scenario-ticks, like
+//! a sweep's `count × ticks`); the handler reuses the sweep
+//! infrastructure end to end: the compiled-model cache hands back the
+//! shared [`CompiledSim`], and every generation's population is sharded
+//! into `lanes`-wide chunks behind the explorer's
+//! [`PopulationRunner`](automode_explore::PopulationRunner) trait. The
+//! connection thread and up to `workers` pool jobs claim those shards one
+//! at a time ([`WorkerPool::run_indexed`]), so a generation never waits
+//! on a pool job still queued behind other requests. Results stream back
+//! as ndjson: a header line, one line per generation with the cumulative
+//! coverage and its delta, one line per shrunk violation repro (scenario
+//! JSON + golden trace inline), and a done line.
 
-use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
 
 use automode_core::json::{Json, JsonWriter};
@@ -24,7 +27,7 @@ use automode_kernel::CoverageLayout;
 use automode_sim::CompiledSim;
 
 use crate::pool::WorkerPool;
-use crate::sweep::{opt_bool, opt_num, opt_uint, uint};
+use crate::sweep::{opt_bool, opt_num, opt_uint, uint, MAX_SCENARIO_TICKS};
 use crate::ServiceError;
 
 /// Hard ceiling on generations per request.
@@ -95,20 +98,21 @@ impl ExploreSpec {
                 "`generations`, `population`, and `ticks` must be positive".into(),
             ));
         }
-        if generations > MAX_GENERATIONS {
-            return Err(ServiceError::TooLarge(format!(
-                "generations {generations} exceeds limit {MAX_GENERATIONS}"
-            )));
-        }
-        if population > MAX_POPULATION {
-            return Err(ServiceError::TooLarge(format!(
-                "population {population} exceeds limit {MAX_POPULATION}"
-            )));
-        }
-        if ticks > MAX_TICKS {
-            return Err(ServiceError::TooLarge(format!(
-                "ticks {ticks} exceeds limit {MAX_TICKS}"
-            )));
+        for (what, n, limit) in [
+            ("generations", generations, MAX_GENERATIONS),
+            ("population", population, MAX_POPULATION),
+            ("ticks", ticks, MAX_TICKS),
+            (
+                "generations x population x ticks",
+                generations.saturating_mul(population).saturating_mul(ticks),
+                MAX_SCENARIO_TICKS,
+            ),
+        ] {
+            if n > limit {
+                return Err(ServiceError::TooLarge(format!(
+                    "{what} {n} exceeds limit {limit}"
+                )));
+            }
         }
         let max_repros = opt_uint(doc, "max_repros", 8)?.min(MAX_REPROS as u64) as usize;
         let mut ranges = Vec::new();
@@ -186,8 +190,9 @@ impl ExploreSpec {
 }
 
 /// [`PopulationRunner`] over the service's worker pool: each generation
-/// is split into `lanes`-wide shards, one pool job each, whose outcomes
-/// come back over one channel per shard and are concatenated in shard
+/// is split into `lanes`-wide shards that the calling (connection) thread
+/// and the pool's workers claim one at a time through
+/// [`WorkerPool::run_indexed`]; the outcomes are concatenated in shard
 /// (so population) order.
 pub struct PoolRunner<'a> {
     inner: Arc<DirectRunner>,
@@ -212,23 +217,17 @@ impl PopulationRunner for PoolRunner<'_> {
     }
 
     fn run(&self, scenarios: &[Scenario]) -> Vec<LaneOutcome> {
-        let shards: Vec<Receiver<Vec<LaneOutcome>>> = scenarios
-            .chunks(self.lanes)
-            .map(|chunk| {
-                let chunk = chunk.to_vec();
-                let inner = self.inner.clone();
-                let (tx, rx) = mpsc::channel();
-                self.pool.submit(move || {
-                    let _ = tx.send(inner.run(&chunk));
-                });
-                rx
+        let inner = self.inner.clone();
+        let lanes = self.lanes;
+        let population: Arc<[Scenario]> = scenarios.into();
+        let shards = population.len().div_ceil(lanes);
+        self.pool
+            .run_indexed(shards, move |i| {
+                let end = population.len().min((i + 1) * lanes);
+                inner.run(&population[i * lanes..end])
             })
-            .collect();
-        // Block the connection-handler thread (never a pool worker) on
-        // each shard in turn; shard order restores population order.
-        shards
             .into_iter()
-            .flat_map(|rx| rx.recv().expect("an explore shard sends its outcomes"))
+            .flatten()
             .collect()
     }
 }
@@ -377,6 +376,11 @@ pub fn execute_explore(
 mod tests {
     use super::*;
     use automode_core::json::parse;
+    use automode_kernel::ContractMonitor;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
     fn spec_defaults_and_limits() {
@@ -423,6 +427,93 @@ mod tests {
             ExploreSpec::from_json(&doc),
             Err(ServiceError::TooLarge(_))
         ));
+    }
+
+    #[test]
+    fn explore_work_is_bounded_per_request() {
+        // Each field is within its own limit; the product is the budget.
+        let at_budget =
+            parse(r#"{"model":"m","generations":256,"population":1024,"ticks":64}"#).unwrap();
+        assert!(ExploreSpec::from_json(&at_budget).is_ok());
+        let over =
+            parse(r#"{"model":"m","generations":256,"population":1024,"ticks":65}"#).unwrap();
+        match ExploreSpec::from_json(&over) {
+            Err(ServiceError::TooLarge(m)) => {
+                assert!(m.contains("generations x population x ticks"), "{m}");
+            }
+            other => panic!("over budget gave {other:?}"),
+        }
+    }
+
+    /// The compiled engine, its strict monitor and `n` random scenarios of
+    /// 8 ticks (faults included).
+    fn engine_population(n: usize) -> (Arc<CompiledSim>, ContractMonitor, Vec<Scenario>) {
+        let eng = automode_engine::reengineer_engine().unwrap();
+        let sim = Arc::new(CompiledSim::new(&eng.model, eng.root).unwrap());
+        let monitor = exact_output_monitor(&eng.model, eng.root);
+        let space = ScenarioSpace::from_component(&eng.model, eng.root, 8)
+            .with_range("rpm", 0.0, 7000.0)
+            .with_range("throttle", 0.0, 1.0)
+            .with_range("o2", 0.0, 2.0);
+        let mut rng = StdRng::seed_from_u64(7);
+        let scenarios = (0..n).map(|_| space.random(&mut rng)).collect();
+        (sim, monitor, scenarios)
+    }
+
+    #[test]
+    fn pool_runner_equals_one_direct_batch_in_population_order() {
+        let (sim, monitor, all) = engine_population(30);
+        let direct = DirectRunner::new(sim.clone()).with_monitor(monitor.clone());
+        let mut violations = 0;
+        for workers in [1, 3] {
+            let pool = WorkerPool::new(workers);
+            for n in [1, 7, 8, 9, 30] {
+                let want = direct.run(&all[..n]);
+                violations += want.iter().filter(|o| o.violation.is_some()).count();
+                for lanes in [8, 64] {
+                    let runner = PoolRunner::new(
+                        DirectRunner::new(sim.clone()).with_monitor(monitor.clone()),
+                        &pool,
+                        lanes,
+                    );
+                    let got = runner.run(&all[..n]);
+                    assert_eq!(got.len(), n);
+                    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                        let at = format!("workers {workers}, n {n}, lanes {lanes}, scenario {i}");
+                        assert_eq!(g.coverage, w.coverage, "{at}");
+                        assert_eq!(g.violation, w.violation, "{at}");
+                    }
+                }
+            }
+        }
+        assert!(violations > 0, "the population exercises no violation");
+    }
+
+    #[test]
+    fn pool_runner_finishes_a_generation_while_the_only_worker_is_busy() {
+        let (sim, monitor, population) = engine_population(32);
+        let pool = WorkerPool::new(1);
+        let (release, gate) = mpsc::channel::<()>();
+        let (parked, started) = mpsc::channel::<()>();
+        pool.submit(move || {
+            parked.send(()).expect("parked");
+            let _ = gate.recv_timeout(Duration::from_secs(60));
+        });
+        started.recv().expect("worker parked");
+        let runner = PoolRunner::new(DirectRunner::new(sim).with_monitor(monitor), &pool, 8);
+        let got = std::thread::scope(|s| {
+            let (tx, rx) = mpsc::channel();
+            let (runner, population) = (&runner, &population);
+            s.spawn(move || {
+                let _ = tx.send(runner.run(population));
+            });
+            let got = rx.recv_timeout(Duration::from_secs(30));
+            // Release the worker either way, so the scope can end.
+            release.send(()).unwrap();
+            got
+        });
+        let got = got.expect("the generation must not wait on a queued pool job");
+        assert_eq!(got.len(), population.len());
     }
 
     #[test]

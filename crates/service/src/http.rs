@@ -48,7 +48,8 @@ const CONN_BACKLOG: usize = 64;
 pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Simulation worker threads in the pool.
+    /// Simulation worker threads in the pool. A connection thread serving
+    /// `/explore` also runs shards of its own generations beside them.
     pub workers: usize,
     /// Connection-handler threads (each drives one response at a time).
     pub conn_threads: usize,
@@ -585,6 +586,8 @@ fn stats_body(shared: &Shared) -> String {
     w.field("pool");
     w.begin_object();
     w.field("workers").uint(pool.workers as u64);
+    // Pool jobs, not shards: an explore generation's claimers may run
+    // several shards each, and the connection thread runs some itself.
     w.field("executed").uint(pool.executed);
     w.end_object();
     w.field("sweeps");

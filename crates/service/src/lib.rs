@@ -21,6 +21,11 @@
 //!    order over a chunked HTTP response, with at most a fixed window of
 //!    shards in flight for backpressure ([`sweep`], [`http`]).
 //!
+//! An `/explore` generation ([`explore`]) is split into `lanes`-wide
+//! covered batches that the connection thread and the pool's workers
+//! claim one at a time ([`WorkerPool::run_indexed`]), so the connection
+//! thread runs shards of its own request instead of parking on them.
+//!
 //! A sampled **live differential oracle** re-runs shards 0, 16, 32, … of
 //! every sweep (so always its first shard) with batch vectorization
 //! disabled and fails the sweep on any divergence — the typed-lane fast

@@ -4,14 +4,21 @@
 //! receiver the workers take turns on. A job therefore starts only after
 //! every job submitted before it has started, so the workers run a
 //! sweep's shards in the order the response writer emits them. Jobs are
-//! sweep and explore shards of a millisecond or more, so the one queue
-//! lock sees no contention worth splitting it for.
+//! sweep shards and explore claimers of a millisecond or more, so the one
+//! queue lock sees no contention worth splitting it for.
+//!
+//! [`WorkerPool::run_indexed`] runs `n` indexed tasks on the pool and the
+//! calling thread together: the caller and up to `workers` pool jobs
+//! claim the next unclaimed index from one counter until none is left.
+//! The caller waits only on indices a job has claimed, never on a job
+//! still queued, so a call completes even while every worker is busy
+//! with other jobs.
 //!
 //! Shutdown is draining by construction: dropping the pool's sender
 //! disconnects the channel only after every queued job has been received,
 //! so all submitted jobs run before `join` returns.
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -24,7 +31,8 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 pub struct PoolStats {
     /// Worker threads in the pool.
     pub workers: usize,
-    /// Jobs executed to completion.
+    /// Pool jobs executed to completion: one per sweep shard, one per
+    /// explore claimer (however many shards it claimed, none included).
     pub executed: u64,
 }
 
@@ -84,6 +92,62 @@ impl WorkerPool {
         let _ = jobs.send(Box::new(job));
     }
 
+    /// Runs `f(0)`, …, `f(n - 1)` on the calling thread and
+    /// `min(workers, n - 1)` pool jobs together and returns the results in
+    /// index order.
+    ///
+    /// Every claimer, the caller included, takes the next unclaimed index
+    /// from one shared counter until none is left, so the caller waits
+    /// only on indices a pool job is already running. A job that starts
+    /// after the caller claimed the last index finds none and returns.
+    ///
+    /// # Panics
+    ///
+    /// If `f` panics on the calling thread, or on a pool job for an index
+    /// the caller then waits on: the job's sender drops as it unwinds, so
+    /// the caller's receive errors out once the call's other jobs have
+    /// returned, instead of waiting forever.
+    pub fn run_indexed<T, F>(&self, n: usize, f: F) -> Vec<T>
+    where
+        T: Send + 'static,
+        F: Fn(usize) -> T + Send + Sync + 'static,
+    {
+        let claims = Arc::new(Claims {
+            next: AtomicUsize::new(0),
+            n,
+            f,
+        });
+        let (tx, rx) = mpsc::channel::<(usize, T)>();
+        for _ in 0..self.workers().min(n.saturating_sub(1)) {
+            let claims = claims.clone();
+            let tx = tx.clone();
+            self.submit(move || {
+                while let Some(done) = claims.run_next() {
+                    // The caller only drops the receiver while unwinding.
+                    if tx.send(done).is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+        drop(tx);
+        let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(n).collect();
+        let mut mine = 0;
+        while let Some((i, out)) = claims.run_next() {
+            slots[i] = Some(out);
+            mine += 1;
+        }
+        // Every other index is claimed by a running job by now.
+        for _ in mine..n {
+            let (i, out) = rx.recv().expect("a pool job panicked on a claimed index");
+            slots[i] = Some(out);
+        }
+        slots
+            .into_iter()
+            .map(|s| s.expect("every index ran once"))
+            .collect()
+    }
+
     /// Counters snapshot.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
@@ -110,6 +174,24 @@ impl Drop for WorkerPool {
     }
 }
 
+/// The shared state of one [`WorkerPool::run_indexed`] call.
+struct Claims<F> {
+    next: AtomicUsize,
+    n: usize,
+    f: F,
+}
+
+impl<T, F: Fn(usize) -> T> Claims<F> {
+    /// Claims the next unclaimed index and runs it; `None` once every
+    /// index is claimed.
+    fn run_next(&self) -> Option<(usize, T)> {
+        // Relaxed: the counter publishes no data, it only hands out each
+        // index once; results reach the caller through the channel.
+        let i = self.next.fetch_add(1, Relaxed);
+        (i < self.n).then(|| (i, (self.f)(i)))
+    }
+}
+
 fn worker_loop(queue: &Mutex<Receiver<Job>>, executed: &AtomicU64) {
     loop {
         // The guard is dropped at the end of this statement, so the next
@@ -124,7 +206,6 @@ fn worker_loop(queue: &Mutex<Receiver<Job>>, executed: &AtomicU64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
 
     #[test]
@@ -215,6 +296,59 @@ mod tests {
         let pool = WorkerPool::new(8);
         std::thread::sleep(Duration::from_millis(5));
         pool.shutdown();
+    }
+
+    #[test]
+    fn run_indexed_returns_every_result_in_index_order() {
+        for workers in [1, 3] {
+            let pool = WorkerPool::new(workers);
+            for n in [0, 1, 2, 7, 64] {
+                let want: Vec<usize> = (0..n).map(|i| i * i).collect();
+                assert_eq!(
+                    pool.run_indexed(n, |i| i * i),
+                    want,
+                    "{workers} workers, n = {n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn run_indexed_fails_the_caller_when_a_job_panics() {
+        let pool = Arc::new(WorkerPool::new(1));
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let caller = {
+            let pool = pool.clone();
+            std::thread::spawn(move || {
+                let (claimed, on_claim) = std::sync::mpsc::channel::<()>();
+                let on_claim = Mutex::new(on_claim);
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    pool.run_indexed(2, move |i| {
+                        let on_worker = std::thread::current()
+                            .name()
+                            .is_some_and(|n| n.starts_with("sweep-worker"));
+                        if on_worker {
+                            let _ = claimed.send(());
+                            panic!("index {i} fails on purpose");
+                        }
+                        // Hold this index until the worker has claimed the
+                        // other one.
+                        let _ = on_claim
+                            .lock()
+                            .unwrap()
+                            .recv_timeout(Duration::from_secs(10));
+                        i
+                    })
+                }));
+                let _ = done_tx.send(result.is_err());
+            })
+        };
+        assert_eq!(
+            done.recv_timeout(Duration::from_secs(30)),
+            Ok(true),
+            "the caller must panic, not hang or return"
+        );
+        caller.join().unwrap();
     }
 
     #[test]

@@ -42,9 +42,11 @@ const MAX_SCENARIOS: usize = 65_536;
 const MAX_TICKS: usize = 1_000_000;
 /// Largest accepted lane width.
 const MAX_LANES: usize = 1024;
-/// Hard ceiling on `count × ticks`, the work of one sweep: 2^24, 131× the
-/// largest benchmark sweep (64 × 2,000).
-const MAX_SCENARIO_TICKS: usize = 1 << 24;
+/// Hard ceiling on the scenario-ticks of one request: `count × ticks` for
+/// a sweep, `generations × population × ticks` for an explore. 2^24 is
+/// 131× the largest benchmark sweep (64 × 2,000) and over 680× the
+/// benchmark explore (12 × 32 × 64).
+pub(crate) const MAX_SCENARIO_TICKS: usize = 1 << 24;
 
 // ---------------------------------------------------------------------------
 // Spec parsing

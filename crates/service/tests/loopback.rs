@@ -303,6 +303,43 @@ fn over_budget_sweep_is_rejected_up_front_and_the_next_one_runs() {
 }
 
 #[test]
+fn over_budget_explore_is_rejected_up_front_and_the_next_one_runs() {
+    let server = serve(small_config()).unwrap();
+    let addr = server.addr();
+    let engine_text = to_text(&automode_engine::reengineer_engine().unwrap().model);
+    // Each field is within its own limit; their product is not.
+    let huge = sweep_body(
+        &engine_text,
+        r#""generations": 256, "population": 1024, "ticks": 10000"#,
+    );
+    let resp = post_explore(addr, &huge).unwrap();
+    assert_eq!(resp.status, 413, "{:?}", resp.lines);
+    let stats = |key: &str, field: &str| {
+        let (_, body) = get(addr, "/stats").unwrap();
+        let v = parse(&body).unwrap();
+        v.get(key).unwrap().get(field).unwrap().as_u64().unwrap()
+    };
+    // Nothing was compiled or run for it.
+    assert_eq!(stats("cache", "misses"), 0);
+    assert_eq!(stats("pool", "executed"), 0);
+    assert_eq!(stats("explores", "total"), 0);
+
+    let body = sweep_body(
+        &engine_text,
+        r#""generations": 2, "population": 4, "ticks": 8, "lanes": 2, "max_repros": 0"#,
+    );
+    let resp = post_explore(addr, &body).unwrap();
+    assert_eq!(resp.status, 200, "{:?}", resp.lines.first());
+    assert!(resp.complete, "truncated explore stream");
+    let done = parse(resp.lines.last().unwrap()).unwrap();
+    let done = done.get("done").expect("done line");
+    assert_eq!(done.get("status").unwrap().as_str(), Some("ok"));
+    assert_eq!(done.get("scenarios").unwrap().as_u64(), Some(8));
+    assert_eq!(stats("explores", "total"), 1);
+    server.shutdown();
+}
+
+#[test]
 fn explore_streams_generations_repros_and_done() {
     let server = serve(small_config()).unwrap();
     let addr = server.addr();
