@@ -29,16 +29,17 @@
 //! Writes `BENCH_batch.json` at the repository root
 //! (under `target/bench-quick/` in quick mode) with
 //! scenarios/second per strategy and the pairwise speedups, per shape,
-//! for K in {1, 8, 32, 128}.
+//! for K in {1, 8, 32, 128} (no 128 in quick mode).
 //!
 //! Env knobs: `AUTOMODE_BENCH_QUICK=1` shrinks the workload for CI;
 //! `AUTOMODE_BENCH_ENFORCE=1` exits nonzero unless at K = 32 every shape
 //! has batch >= 2x fresh AND batch >= 2x reuse.
 
 use std::hint::black_box;
-use std::time::Instant;
 
-use automode_bench::{moded_controller, random_causal_dfd, ssd_chain, stateless_ops_network};
+use automode_bench::{
+    moded_controller, random_causal_dfd, ssd_chain, stateless_ops_network, time_arms, Arm, Results,
+};
 use automode_kernel::{Message, Network, ReadyNetwork, Stream, Value};
 use automode_sim::{stimulus, BatchScenario, CompiledSim};
 
@@ -69,99 +70,81 @@ fn kernel_stimuli(k: usize, ticks: usize) -> Vec<Vec<Vec<Message>>> {
         .collect()
 }
 
-struct KResult {
-    k: usize,
-    fresh: f64,
-    reuse: f64,
-    batch: f64,
+/// Checks that a batch agrees with sequential runs on `inputs`.
+fn check_batch_matches_runs(
+    shape: &str,
+    m: &automode_core::model::Model,
+    id: automode_core::model::ComponentId,
+    inputs: &[Vec<(&'static str, Stream)>],
+    ticks: usize,
+) {
+    let specs: Vec<BatchScenario<'_>> = inputs
+        .iter()
+        .map(|lane| BatchScenario::new(lane, ticks))
+        .collect();
+    let mut sim = CompiledSim::new(m, id).unwrap();
+    let batch = sim.run_batch(&specs).unwrap();
+    for (lane, inp) in inputs.iter().enumerate() {
+        assert_eq!(
+            batch[lane],
+            sim.run(inp, ticks).unwrap(),
+            "{shape}: lane {lane}"
+        );
+    }
 }
 
-struct ShapeResult {
-    shape: &'static str,
-    results: Vec<KResult>,
-}
-
-/// Measures one model-backed shape through `CompiledSim` for every K.
+/// Times one model-backed shape through `CompiledSim` for every K.
 fn measure_model_shape(
-    shape: &'static str,
+    results: &mut Results,
+    shape: &str,
     m: &automode_core::model::Model,
     id: automode_core::model::ComponentId,
     ks: &[usize],
     ticks: usize,
-    rounds: usize,
-) -> ShapeResult {
+) {
     // Correctness cross-check before timing anything: the batch must agree
     // with sequential runs on the exact scenarios being measured.
-    {
-        let inputs = scenarios(4, ticks);
+    check_batch_matches_runs(shape, m, id, &scenarios(4, ticks), ticks);
+    for &k in ks {
+        let inputs = scenarios(k, ticks);
         let specs: Vec<BatchScenario<'_>> = inputs
             .iter()
             .map(|lane| BatchScenario::new(lane, ticks))
             .collect();
-        let mut sim = CompiledSim::new(m, id).unwrap();
-        let batch = sim.run_batch(&specs).unwrap();
-        for (lane, inp) in inputs.iter().enumerate() {
-            assert_eq!(
-                batch[lane],
-                sim.run(inp, ticks).unwrap(),
-                "{shape}: lane {lane}"
-            );
-        }
-    }
-    let mut results = Vec::new();
-    for &k in ks {
-        let inputs = scenarios(k, ticks);
-        let (mut fresh, mut reuse, mut batch) = (0.0f64, 0.0f64, 0.0f64);
-        // Best of `rounds` interleaved rounds per strategy, so a scheduler
-        // hiccup cannot skew one side.
-        for _ in 0..rounds {
-            fresh = fresh.max({
-                let start = Instant::now();
-                for lane in &inputs {
-                    let mut sim = CompiledSim::new(m, id).unwrap();
-                    black_box(sim.run(lane, ticks).unwrap());
-                }
-                inputs.len() as f64 / start.elapsed().as_secs_f64()
-            });
-            reuse = reuse.max({
-                let mut sim = CompiledSim::new(m, id).unwrap();
-                let start = Instant::now();
+        let compile = || CompiledSim::new(m, id).unwrap();
+        let timings = time_arms(vec![
+            Arm::new(
+                "fresh",
+                k as f64,
+                || (),
+                |()| {
+                    for lane in &inputs {
+                        black_box(compile().run(lane, ticks).unwrap());
+                    }
+                },
+            ),
+            Arm::new("reuse", k as f64, compile, |sim| {
                 for lane in &inputs {
                     black_box(sim.run(lane, ticks).unwrap());
                 }
-                inputs.len() as f64 / start.elapsed().as_secs_f64()
-            });
-            batch = batch.max({
-                let sim = CompiledSim::new(m, id).unwrap();
-                let specs: Vec<BatchScenario<'_>> = inputs
-                    .iter()
-                    .map(|lane| BatchScenario::new(lane, ticks))
-                    .collect();
-                let start = Instant::now();
-                black_box(sim.run_batch(&specs).unwrap());
-                inputs.len() as f64 / start.elapsed().as_secs_f64()
-            });
-        }
-        report_k(shape, k, fresh, reuse, batch);
-        results.push(KResult {
-            k,
-            fresh,
-            reuse,
-            batch,
-        });
+            }),
+            Arm::new("batch", k as f64, compile, |sim| {
+                sim.run_batch(&specs).unwrap()
+            }),
+        ]);
+        record_k(results, shape, k, timings);
     }
-    ShapeResult { shape, results }
 }
 
-/// Measures the kernel-level stateless-ops shape (no model layer — the
+/// Times the kernel-level stateless-ops shape (no model layer — the
 /// network is built and prepared directly) for every K.
 fn measure_kernel_shape(
-    shape: &'static str,
+    results: &mut Results,
+    shape: &str,
     build: &dyn Fn() -> Network,
     ks: &[usize],
     ticks: usize,
-    rounds: usize,
-) -> ShapeResult {
+) {
     {
         let stimuli = kernel_stimuli(4, ticks);
         let mut ready: ReadyNetwork = build().prepare().unwrap();
@@ -175,165 +158,74 @@ fn measure_kernel_shape(
             );
         }
     }
-    let mut results = Vec::new();
     for &k in ks {
         let stimuli = kernel_stimuli(k, ticks);
-        let (mut fresh, mut reuse, mut batch) = (0.0f64, 0.0f64, 0.0f64);
-        for _ in 0..rounds {
-            fresh = fresh.max({
-                let start = Instant::now();
-                for lane in &stimuli {
-                    let mut ready = build().prepare().unwrap();
-                    black_box(ready.run(lane).unwrap());
-                }
-                stimuli.len() as f64 / start.elapsed().as_secs_f64()
-            });
-            reuse = reuse.max({
-                let mut ready = build().prepare().unwrap();
-                let start = Instant::now();
+        let prepare = || build().prepare().unwrap();
+        let timings = time_arms(vec![
+            Arm::new(
+                "fresh",
+                k as f64,
+                || (),
+                |()| {
+                    for lane in &stimuli {
+                        black_box(prepare().run(lane).unwrap());
+                    }
+                },
+            ),
+            Arm::new("reuse", k as f64, prepare, |ready| {
                 for lane in &stimuli {
                     ready.reset();
                     black_box(ready.run(lane).unwrap());
                 }
-                stimuli.len() as f64 / start.elapsed().as_secs_f64()
-            });
-            batch = batch.max({
-                let ready = build().prepare().unwrap();
-                let start = Instant::now();
-                black_box(ready.run_batch(&stimuli).unwrap());
-                stimuli.len() as f64 / start.elapsed().as_secs_f64()
-            });
-        }
-        report_k(shape, k, fresh, reuse, batch);
-        results.push(KResult {
-            k,
-            fresh,
-            reuse,
-            batch,
-        });
+            }),
+            Arm::new("batch", k as f64, prepare, |ready| {
+                ready.run_batch(&stimuli).unwrap()
+            }),
+        ]);
+        record_k(results, shape, k, timings);
     }
-    ShapeResult { shape, results }
 }
 
-fn report_k(shape: &str, k: usize, fresh: f64, reuse: f64, batch: f64) {
-    println!(
-        "batch_throughput/{shape}/K={k:<4} fresh: {fresh:>9.1}/s   reuse: {reuse:>9.1}/s   batch: {batch:>9.1}/s   batch/reuse: {:.2}x   batch/fresh: {:.2}x",
-        batch / reuse,
-        batch / fresh
-    );
+/// Records shape `shape` at `k` lanes with its speedups, gating batch
+/// against both other strategies at K = 32.
+fn record_k(results: &mut Results, shape: &str, k: usize, timings: Vec<automode_bench::Timing>) {
+    results.scenario(format!("{shape}/K={k}"), timings);
+    results.ratio("reuse", "fresh");
+    let vs_reuse = results.ratio("batch", "reuse");
+    let vs_fresh = results.ratio("batch", "fresh");
+    if k == 32 {
+        results.gate_at_least(format!("{shape} K=32 batch/fresh"), vs_fresh, 2.0);
+        results.gate_at_least(format!("{shape} K=32 batch/reuse"), vs_reuse, 2.0);
+    }
 }
 
 fn main() {
     let quick = automode_bench::quick_mode();
-    let (ticks, rounds, ks): (usize, usize, &[usize]) = if quick {
-        (60, 2, &[1, 8, 32])
+    let (ticks, ks): (usize, &[usize]) = if quick {
+        (60, &[1, 8, 32])
     } else {
-        (200, 3, &[1, 8, 32, 128])
+        (200, &[1, 8, 32, 128])
     };
 
     // MTD correctness cross-check: the moded controller's root MTD runs on
     // the MTD lane kernel, each mode subnet on its own lane stepper.
-    {
-        let (m, id) = moded_controller(if quick { 10 } else { 40 }, 40, 7);
-        let inputs = scenarios(4, ticks);
-        let specs: Vec<BatchScenario<'_>> = inputs
-            .iter()
-            .map(|lane| BatchScenario::new(lane, ticks))
-            .collect();
-        let mut sim = CompiledSim::new(&m, id).unwrap();
-        let batch = sim.run_batch(&specs).unwrap();
-        for (lane, inp) in inputs.iter().enumerate() {
-            assert_eq!(
-                batch[lane],
-                sim.run(inp, ticks).unwrap(),
-                "moded_controller: lane {lane}"
-            );
-        }
-    }
+    let (m, id) = moded_controller(if quick { 10 } else { 40 }, 40, 7);
+    check_batch_matches_runs("moded_controller", &m, id, &scenarios(4, ticks), ticks);
 
-    let mut shapes: Vec<ShapeResult> = Vec::new();
-    {
-        let n = if quick { 48 } else { 96 };
-        shapes.push(measure_kernel_shape(
-            "stateless_heavy",
-            &|| stateless_ops_network(n, 11),
-            ks,
-            ticks,
-            rounds,
-        ));
-    }
-    {
-        let (m, id) = ssd_chain(if quick { 32 } else { 64 });
-        shapes.push(measure_model_shape(
-            "delay_heavy",
-            &m,
-            id,
-            ks,
-            ticks,
-            rounds,
-        ));
-    }
-    {
-        let (m, id) = random_causal_dfd(if quick { 40 } else { 64 }, 7);
-        shapes.push(measure_model_shape("expr_heavy", &m, id, ks, ticks, rounds));
-    }
-
-    let mut json = String::from(
-        "{\n  \"bench\": \"batch_throughput\",\n  \"unit\": \"scenarios_per_second\",\n",
+    let mut results = Results::new("batch_throughput", "scenarios_per_second");
+    let n = if quick { 48 } else { 96 };
+    measure_kernel_shape(
+        &mut results,
+        "stateless_heavy",
+        &|| stateless_ops_network(n, 11),
+        ks,
+        ticks,
     );
-    json.push_str(&format!(
-        "  \"ticks_per_scenario\": {ticks},\n  \"quick\": {quick},\n  \"shapes\": {{\n"
-    ));
-    for (s, shape) in shapes.iter().enumerate() {
-        json.push_str(&format!("    \"{}\": {{\n", shape.shape));
-        for (i, r) in shape.results.iter().enumerate() {
-            json.push_str(&format!(
-                "      \"{}\": {{ \"fresh\": {:.1}, \"reuse\": {:.1}, \"batch\": {:.1}, \"speedup_reuse_vs_fresh\": {:.2}, \"speedup_batch_vs_reuse\": {:.2}, \"speedup_batch_vs_fresh\": {:.2} }}{}\n",
-                r.k,
-                r.fresh,
-                r.reuse,
-                r.batch,
-                r.reuse / r.fresh,
-                r.batch / r.reuse,
-                r.batch / r.fresh,
-                if i + 1 < shape.results.len() { "," } else { "" }
-            ));
-        }
-        json.push_str(&format!(
-            "    }}{}\n",
-            if s + 1 < shapes.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  }\n}\n");
+    let (m, id) = ssd_chain(if quick { 32 } else { 64 });
+    measure_model_shape(&mut results, "delay_heavy", &m, id, ks, ticks);
+    let (m, id) = random_causal_dfd(if quick { 40 } else { 64 }, 7);
+    measure_model_shape(&mut results, "expr_heavy", &m, id, ks, ticks);
 
-    automode_bench::write_results("BENCH_batch.json", &json);
-
-    if std::env::var("AUTOMODE_BENCH_ENFORCE").is_ok_and(|v| v == "1") {
-        let mut ok = true;
-        for shape in &shapes {
-            let Some(r) = shape.results.iter().find(|r| r.k == 32) else {
-                continue;
-            };
-            let vs_fresh = r.batch / r.fresh;
-            let vs_reuse = r.batch / r.reuse;
-            if vs_fresh < 2.0 {
-                eprintln!(
-                    "FAIL: {}: batch vs fresh at K=32 is {vs_fresh:.2}x (< 2x gate)",
-                    shape.shape
-                );
-                ok = false;
-            }
-            if vs_reuse < 2.0 {
-                eprintln!(
-                    "FAIL: {}: batch vs reuse at K=32 is {vs_reuse:.2}x (< 2x gate)",
-                    shape.shape
-                );
-                ok = false;
-            }
-        }
-        if !ok {
-            std::process::exit(1);
-        }
-        println!("gate: every shape has batch >= 2x fresh and >= 2x reuse at K=32");
-    }
+    results.data(format!(r#"{{"ticks_per_scenario":{ticks}}}"#));
+    automode_bench::write_results("BENCH_batch.json", results);
 }

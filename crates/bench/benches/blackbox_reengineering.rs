@@ -5,9 +5,9 @@
 //! Shape claims: the generated FAA model reproduces every ECU dependency of
 //! the matrix, and the step scales with the number of signals.
 
+use automode_bench::{time_and_print, Arm};
 use automode_platform::comm_matrix::synthetic_body_matrix;
 use automode_transform::reengineer::reengineer_comm_matrix;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn shape_report() {
     eprintln!("\n[E11 report] black-box reengineering structure preservation:");
@@ -24,37 +24,24 @@ fn shape_report() {
     }
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     shape_report();
-    let mut group = c.benchmark_group("blackbox_reengineering");
-    for &modules in &[10usize, 50, 200] {
-        let matrix = synthetic_body_matrix(modules, 8, 7);
-        group.bench_with_input(
-            BenchmarkId::new("matrix_to_faa", modules),
-            &modules,
-            |b, _| b.iter(|| reengineer_comm_matrix(&matrix, "body").unwrap()),
-        );
+    let matrices =
+        [10usize, 50, 200].map(|modules| (modules, synthetic_body_matrix(modules, 8, 7)));
+    let mut arms: Vec<Arm> = matrices
+        .iter()
+        .map(|(modules, matrix)| {
+            Arm::iter(
+                format!("blackbox_reengineering/matrix_to_faa/{modules}"),
+                || reengineer_comm_matrix(matrix, "body").unwrap(),
+            )
+        })
+        .collect();
+    for modules in [10usize, 50] {
+        arms.push(Arm::iter(
+            format!("blackbox_reengineering/generate_matrix/{modules}"),
+            move || synthetic_body_matrix(modules, 8, 7),
+        ));
     }
-    for &modules in &[10usize, 50] {
-        group.bench_with_input(
-            BenchmarkId::new("generate_matrix", modules),
-            &modules,
-            |b, &m| b.iter(|| synthetic_body_matrix(m, 8, 7)),
-        );
-    }
-    group.finish();
+    time_and_print(arms);
 }
-
-fn fast_config() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .warm_up_time(std::time::Duration::from_millis(300))
-        .measurement_time(std::time::Duration::from_millis(800))
-}
-
-criterion_group! {
-    name = benches;
-    config = fast_config();
-    targets = bench
-}
-criterion_main!(benches);

@@ -5,18 +5,17 @@
 //! * `wide` — many independent adders in one level,
 //! * `multirate` — when/delay/current chains on mixed clocks.
 //!
-//! Besides the criterion-style console report, the run writes
-//! `BENCH_executor.json` at the repository root
-//! (under `target/bench-quick/` in quick mode) with before/after
-//! ticks-per-second and the speedup per shape (acceptance gate: >= 2x on
+//! Writes `BENCH_executor.json` at the repository root (under
+//! `target/bench-quick/` in quick mode): ticks per second of both
+//! executors and the speedup per shape (acceptance gate: >= 2x on
 //! `deep`).
 
-use std::time::Instant;
+use std::hint::black_box;
 
+use automode_bench::{time_arms, Arm, Results};
 use automode_kernel::network::Network;
 use automode_kernel::ops::{BinOp, Const, Current, Delay, EveryClockGen, Lift2, When};
 use automode_kernel::{Message, Value};
-use criterion::black_box;
 
 /// A deep instantaneous pipeline: `x -> (+1) -> (+1) -> ...`, `depth`
 /// stages, one probe at the end. Every level has width 1, so this measures
@@ -78,97 +77,51 @@ fn build_multirate(segments: usize) -> Network {
     net
 }
 
-/// Steady-state ticks/second of the compiled executor (prepared once,
-/// stepped `ticks` times on the reused fast path).
-fn measure_compiled(net: Network, ticks: usize) -> f64 {
-    let mut ready = net.prepare().unwrap();
-    let row = [Message::present(Value::Int(1))];
-    // Warm up allocations and caches.
-    for _ in 0..ticks / 10 {
-        black_box(ready.step_tick_observed(&row).unwrap());
-    }
-    let start = Instant::now();
-    for _ in 0..ticks {
-        black_box(ready.step_tick_observed(&row).unwrap());
-    }
-    ticks as f64 / start.elapsed().as_secs_f64()
-}
-
-/// Steady-state ticks/second of the interpretive reference executor.
-fn measure_reference(net: Network, ticks: usize) -> f64 {
-    let mut ready = net.prepare_reference().unwrap();
-    let row = [Message::present(Value::Int(1))];
-    for _ in 0..ticks / 10 {
-        black_box(ready.step_tick(&row).unwrap());
-    }
-    let start = Instant::now();
-    for _ in 0..ticks {
-        black_box(ready.step_tick(&row).unwrap());
-    }
-    ticks as f64 / start.elapsed().as_secs_f64()
-}
-
-struct ShapeResult {
-    name: &'static str,
-    ticks: usize,
-    reference: f64,
-    compiled: f64,
-}
-
-impl ShapeResult {
-    fn speedup(&self) -> f64 {
-        self.compiled / self.reference
-    }
-}
-
-fn run_shape(name: &'static str, builder: fn() -> Network, ticks: usize) -> ShapeResult {
-    // Interleave and take the best of three rounds per executor so one
-    // scheduler hiccup cannot skew either side.
-    let mut reference = 0.0f64;
-    let mut compiled = 0.0f64;
-    for _ in 0..3 {
-        reference = reference.max(measure_reference(builder(), ticks));
-        compiled = compiled.max(measure_compiled(builder(), ticks));
-    }
-    let r = ShapeResult {
-        name,
-        ticks,
-        reference,
-        compiled,
-    };
-    println!(
-        "executor_throughput/{:<10} ref: {:>12.0} ticks/s   compiled: {:>12.0} ticks/s   speedup: {:.2}x",
-        r.name,
-        r.reference,
-        r.compiled,
-        r.speedup()
-    );
-    r
-}
-
 fn main() {
     // `AUTOMODE_BENCH_QUICK=1` shrinks the workload for CI smoke runs.
-    let quick = automode_bench::quick_mode();
-    let ticks = if quick { 4_000 } else { 20_000 };
-    let results = [
-        run_shape("deep", || build_deep(256), ticks),
-        run_shape("wide", || build_wide(256), ticks),
-        run_shape("multirate", || build_multirate(48), ticks),
-    ];
-
-    let mut json = String::from("{\n  \"bench\": \"executor_throughput\",\n  \"unit\": \"ticks_per_second\",\n  \"shapes\": {\n");
-    for (i, r) in results.iter().enumerate() {
-        json.push_str(&format!(
-            "    \"{}\": {{ \"ticks\": {}, \"reference\": {:.0}, \"compiled\": {:.0}, \"speedup\": {:.2} }}{}\n",
-            r.name,
-            r.ticks,
-            r.reference,
-            r.compiled,
-            r.speedup(),
-            if i + 1 < results.len() { "," } else { "" }
-        ));
+    let ticks = if automode_bench::quick_mode() {
+        4_000
+    } else {
+        20_000
+    };
+    let row = [Message::present(Value::Int(1))];
+    let mut results = Results::new("executor_throughput", "ticks_per_second");
+    for (shape, build) in [
+        ("deep", (|| build_deep(256)) as fn() -> Network),
+        ("wide", || build_wide(256)),
+        ("multirate", || build_multirate(48)),
+    ] {
+        // Each round prepares the network afresh, untimed.
+        results.scenario(
+            shape,
+            time_arms(vec![
+                Arm::new(
+                    "reference",
+                    ticks as f64,
+                    || build().prepare_reference().unwrap(),
+                    |ready| {
+                        for _ in 0..ticks {
+                            black_box(ready.step_tick(&row).unwrap());
+                        }
+                    },
+                ),
+                Arm::new(
+                    "compiled",
+                    ticks as f64,
+                    || build().prepare().unwrap(),
+                    |ready| {
+                        for _ in 0..ticks {
+                            black_box(ready.step_tick_observed(&row).unwrap());
+                        }
+                    },
+                ),
+            ]),
+        );
+        let speedup = results.ratio("compiled", "reference");
+        if shape == "deep" {
+            results.gate_at_least("deep", speedup, 2.0);
+        }
     }
-    json.push_str("  }\n}\n");
-
-    automode_bench::write_results("BENCH_executor.json", &json);
+    results.data(format!(r#"{{"ticks":{ticks}}}"#));
+    automode_bench::write_results("BENCH_executor.json", results);
 }

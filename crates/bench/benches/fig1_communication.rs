@@ -4,11 +4,11 @@
 //! absences per tick) and measures simulation throughput of the
 //! event-triggered component.
 
+use automode_bench::{time_and_print, Arm};
 use automode_core::model::Model;
 use automode_engine::build_door_lock;
 use automode_kernel::{Message, Value};
 use automode_sim::elaborate;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn fig1_trace_report() {
     let mut model = Model::new("fig1");
@@ -35,12 +35,12 @@ fn fig1_trace_report() {
     eprintln!("{}", run.trace.project(&["in:T4S", "T1C", "T4C"]));
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     fig1_trace_report();
     let mut model = Model::new("fig1");
     let ctrl = build_door_lock(&mut model).unwrap();
 
-    let mut group = c.benchmark_group("fig1_communication");
+    let mut arms = Vec::new();
     for &ticks in &[100usize, 1_000, 10_000] {
         // Sporadic events at 10% density.
         let t4s = automode_sim::stimulus::sporadic(0.1, ticks, 1);
@@ -60,29 +60,17 @@ fn bench(c: &mut Criterion) {
                 ]
             })
             .collect();
-        group.bench_with_input(BenchmarkId::new("simulate_ticks", ticks), &ticks, |b, _| {
-            b.iter(|| {
-                let net = elaborate(&model, ctrl).unwrap();
+        let (model, ctrl) = (&model, ctrl);
+        arms.push(Arm::iter(
+            format!("fig1_communication/simulate_ticks/{ticks}"),
+            move || {
+                let net = elaborate(model, ctrl).unwrap();
                 let mut ready = net.prepare().unwrap();
                 for row in &stim {
                     ready.step_tick(row).unwrap();
                 }
-            })
-        });
+            },
+        ));
     }
-    group.finish();
+    time_and_print(arms);
 }
-
-fn fast_config() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .warm_up_time(std::time::Duration::from_millis(300))
-        .measurement_time(std::time::Duration::from_millis(800))
-}
-
-criterion_group! {
-    name = benches;
-    config = fast_config();
-    targets = bench
-}
-criterion_main!(benches);

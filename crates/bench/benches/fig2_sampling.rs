@@ -5,10 +5,10 @@
 //! (the shape claim: `when` with `every(n)` passes exactly 1/n of the
 //! messages), measuring kernel throughput.
 
+use automode_bench::{time_and_print, Arm};
 use automode_kernel::network::stimulus_from_streams;
 use automode_kernel::ops::{EveryClockGen, When};
 use automode_kernel::{Clock, Network, Stream};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 fn build(factor: u32) -> Network {
     let mut net = Network::new("fig2");
@@ -39,35 +39,21 @@ fn shape_report() {
     }
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     shape_report();
-    let mut group = c.benchmark_group("fig2_sampling");
     let ticks = 4096usize;
-    group.throughput(Throughput::Elements(ticks as u64));
-    for &factor in &[2u32, 8, 64] {
-        let stim = stimulus_from_streams(&[Stream::from_values(0i64..ticks as i64)]);
-        group.bench_with_input(BenchmarkId::new("when_every", factor), &factor, |b, &f| {
-            b.iter(|| {
-                let mut ready = build(f).prepare().unwrap();
-                for row in &stim {
+    let stim = stimulus_from_streams(&[Stream::from_values(0i64..ticks as i64)]);
+    let arms = [2u32, 8, 64]
+        .into_iter()
+        .map(|factor| {
+            let stim = &stim;
+            Arm::iter(format!("fig2_sampling/when_every/{factor}"), move || {
+                let mut ready = build(factor).prepare().unwrap();
+                for row in stim {
                     ready.step_tick(row).unwrap();
                 }
             })
-        });
-    }
-    group.finish();
+        })
+        .collect();
+    time_and_print(arms);
 }
-
-fn fast_config() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .warm_up_time(std::time::Duration::from_millis(300))
-        .measurement_time(std::time::Duration::from_millis(800))
-}
-
-criterion_group! {
-    name = benches;
-    config = fast_config();
-    targets = bench
-}
-criterion_main!(benches);

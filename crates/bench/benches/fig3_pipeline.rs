@@ -4,12 +4,12 @@
 //! FDA validation, clock-based clustering, LA validation, and deployment
 //! (task formation + communication matrix + OA generation).
 
+use automode_bench::{time_and_print, Arm};
 use automode_core::ccd::FixedPriorityDataIntegrityPolicy;
 use automode_engine::ccd::{build_engine_ccd, engine_cluster_wcets};
 use automode_engine::reengineered::{engine_periods, reengineer_engine};
 use automode_transform::deploy::{deploy, DeploymentSpec};
 use automode_transform::refine::cluster_by_clocks;
-use criterion::{criterion_group, criterion_main, Criterion};
 
 fn shape_report() {
     let r = reengineer_engine().unwrap();
@@ -27,36 +27,28 @@ fn shape_report() {
     eprintln!("  cross-cluster channels: {cross}, auto-delayed (slow->fast): {delayed}");
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     shape_report();
     let r = reengineer_engine().unwrap();
-
-    c.bench_function("fig3_fda_validation", |b| {
-        b.iter(|| automode_core::levels::validate_fda(&r.model).unwrap())
-    });
-
-    c.bench_function("fig3_clock_clustering", |b| {
-        b.iter(|| {
+    let mut model = automode_core::model::Model::new("fig3");
+    let (ccd, _) = build_engine_ccd(&mut model, 10, 100).unwrap();
+    let mut spec = DeploymentSpec::new(["engine_ecu", "diag_ecu"])
+        .pin("fuel_control", "engine_ecu")
+        .pin("ignition_control", "engine_ecu")
+        .pin("diagnosis_monitoring", "diag_ecu");
+    for (cl, w) in engine_cluster_wcets() {
+        spec = spec.wcet(cl, w);
+    }
+    time_and_print(vec![
+        Arm::iter("fig3_fda_validation", || {
+            automode_core::levels::validate_fda(&r.model).unwrap()
+        }),
+        Arm::iter("fig3_clock_clustering", || {
             let mut model = r.model.clone();
             cluster_by_clocks(&mut model, r.root, &engine_periods()).unwrap()
-        })
-    });
-
-    c.bench_function("fig3_full_reengineering", |b| {
-        b.iter(|| reengineer_engine().unwrap())
-    });
-
-    c.bench_function("fig3_deployment", |b| {
-        let mut model = automode_core::model::Model::new("fig3");
-        let (ccd, _) = build_engine_ccd(&mut model, 10, 100).unwrap();
-        let mut spec = DeploymentSpec::new(["engine_ecu", "diag_ecu"])
-            .pin("fuel_control", "engine_ecu")
-            .pin("ignition_control", "engine_ecu")
-            .pin("diagnosis_monitoring", "diag_ecu");
-        for (cl, w) in engine_cluster_wcets() {
-            spec = spec.wcet(cl, w);
-        }
-        b.iter(|| {
+        }),
+        Arm::iter("fig3_full_reengineering", || reengineer_engine().unwrap()),
+        Arm::iter("fig3_deployment", || {
             deploy(
                 &model,
                 &ccd,
@@ -64,20 +56,6 @@ fn bench(c: &mut Criterion) {
                 &spec,
             )
             .unwrap()
-        })
-    });
+        }),
+    ]);
 }
-
-fn fast_config() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .warm_up_time(std::time::Duration::from_millis(300))
-        .measurement_time(std::time::Duration::from_millis(800))
-}
-
-criterion_group! {
-    name = benches;
-    config = fast_config();
-    targets = bench
-}
-criterion_main!(benches);

@@ -5,10 +5,9 @@
 //! output after exactly n+1 ticks. The bench sweeps the chain length,
 //! verifying the latency and measuring elaboration + execution cost.
 
-use automode_bench::ssd_chain;
+use automode_bench::{ssd_chain, time_and_print, Arm};
 use automode_kernel::Value;
 use automode_sim::{elaborate, simulate_component, stimulus};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn shape_report() {
     eprintln!("\n[E4 report] first-output latency of n-stage SSD chains:");
@@ -33,32 +32,19 @@ fn shape_report() {
     }
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     shape_report();
-    let mut group = c.benchmark_group("fig4_ssd_delay");
-    for &n in &[8usize, 32, 128] {
-        let (model, top) = ssd_chain(n);
-        group.bench_with_input(BenchmarkId::new("elaborate", n), &n, |b, _| {
-            b.iter(|| elaborate(&model, top).unwrap())
-        });
-        let stim = stimulus::constant(Value::Float(1.0), 256);
-        group.bench_with_input(BenchmarkId::new("run_256_ticks", n), &n, |b, _| {
-            b.iter(|| simulate_component(&model, top, &[("in", stim.clone())], 256).unwrap())
-        });
+    let stim = stimulus::constant(Value::Float(1.0), 256);
+    let chains = [8usize, 32, 128].map(|n| (n, ssd_chain(n)));
+    let mut arms = Vec::new();
+    for (n, (model, top)) in &chains {
+        arms.push(Arm::iter(format!("fig4_ssd_delay/elaborate/{n}"), || {
+            elaborate(model, *top).unwrap()
+        }));
+        arms.push(Arm::iter(
+            format!("fig4_ssd_delay/run_256_ticks/{n}"),
+            || simulate_component(model, *top, &[("in", stim.clone())], 256).unwrap(),
+        ));
     }
-    group.finish();
+    time_and_print(arms);
 }
-
-fn fast_config() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .warm_up_time(std::time::Duration::from_millis(300))
-        .measurement_time(std::time::Duration::from_millis(800))
-}
-
-criterion_group! {
-    name = benches;
-    config = fast_config();
-    targets = bench
-}
-criterion_main!(benches);

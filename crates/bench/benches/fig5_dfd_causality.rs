@@ -5,12 +5,11 @@
 //! networks (soundness/completeness checked over random instances) and
 //! scales near-linearly with network size.
 
-use automode_bench::{random_causal_dfd, random_looped_dfd};
+use automode_bench::{random_causal_dfd, random_looped_dfd, time_and_print, Arm};
 use automode_core::causality_struct::check_component;
 use automode_core::model::Model;
 use automode_engine::momentum::{build_momentum_controller, MomentumGains};
 use automode_kernel::causality;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -51,80 +50,68 @@ fn random_dag(n: usize, seed: u64) -> Vec<(usize, usize)> {
         .collect()
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     shape_report();
-    let mut group = c.benchmark_group("fig5_causality_scaling");
-    for &n in &[100usize, 1_000, 10_000, 50_000] {
-        let edges = random_dag(n, 7);
-        group.bench_with_input(BenchmarkId::new("kernel_analyze", n), &n, |b, &n| {
-            b.iter(|| causality::analyze(n, &edges))
-        });
-    }
-    for &n in &[50usize, 200, 800] {
-        let (m, top) = random_causal_dfd(n, 11);
-        group.bench_with_input(BenchmarkId::new("structural_check", n), &n, |b, _| {
-            b.iter(|| check_component(&m, top).unwrap())
-        });
-        // Ablation: the same property checked at the kernel level, i.e.
-        // full elaboration + schedule computation. The structural check on
-        // the meta-model avoids elaborating at all.
-        group.bench_with_input(BenchmarkId::new("elaborate_and_prepare", n), &n, |b, _| {
-            b.iter(|| automode_sim::elaborate(&m, top).unwrap().prepare().unwrap())
-        });
-    }
-    group.finish();
-
-    // Simulation throughput of the Fig. 5 controller.
+    let dags = [100usize, 1_000, 10_000, 50_000].map(|n| (n, random_dag(n, 7)));
+    let dfds = [50usize, 200, 800].map(|n| (n, random_causal_dfd(n, 11)));
+    // The Fig. 5 controller, its 16 target-speed variants and its inputs.
     let mut m = Model::new("fig5");
     let id = build_momentum_controller(&mut m, MomentumGains::default()).unwrap();
     let v = automode_sim::stimulus::ramp(0.0, 30.0, 1_000);
-    c.bench_function("fig5_momentum_1000_ticks", |b| {
-        b.iter(|| {
-            automode_sim::simulate_component(
-                &m,
-                id,
-                &[("v_des", v.clone()), ("v_act", v.clone())],
-                1_000,
-            )
-            .unwrap()
+    let inputs = [("v_des", v.clone()), ("v_act", v.clone())];
+    let lanes: Vec<Vec<(&str, automode_kernel::Stream)>> = (0..16)
+        .map(|l| {
+            let top = 15.0 + l as f64 * 2.0;
+            vec![
+                ("v_des", automode_sim::stimulus::ramp(0.0, top, 1_000)),
+                ("v_act", automode_sim::stimulus::ramp(0.0, top * 0.8, 1_000)),
+            ]
         })
-    });
+        .collect();
+    let specs: Vec<automode_sim::BatchScenario<'_>> = lanes
+        .iter()
+        .map(|inp| automode_sim::BatchScenario::new(inp, 1_000))
+        .collect();
+    let mut sim = automode_sim::CompiledSim::new(&m, id).unwrap();
+    let batch_sim = automode_sim::CompiledSim::new(&m, id).unwrap();
+
+    let mut arms = Vec::new();
+    for (n, edges) in &dags {
+        arms.push(Arm::iter(
+            format!("fig5_causality_scaling/kernel_analyze/{n}"),
+            || causality::analyze(*n, edges),
+        ));
+    }
+    for (n, (m, top)) in &dfds {
+        arms.push(Arm::iter(
+            format!("fig5_causality_scaling/structural_check/{n}"),
+            || check_component(m, *top).unwrap(),
+        ));
+        // Ablation: the same property checked at the kernel level, i.e.
+        // full elaboration + schedule computation. The structural check on
+        // the meta-model avoids elaborating at all.
+        arms.push(Arm::iter(
+            format!("fig5_causality_scaling/elaborate_and_prepare/{n}"),
+            || automode_sim::elaborate(m, *top).unwrap().prepare().unwrap(),
+        ));
+    }
+    // Simulation throughput of the Fig. 5 controller.
+    arms.push(Arm::iter("fig5_momentum_1000_ticks", || {
+        automode_sim::simulate_component(
+            &m,
+            id,
+            &[("v_des", v.clone()), ("v_act", v.clone())],
+            1_000,
+        )
+        .unwrap()
+    }));
     // Ablations of the same run: a reused `CompiledSim` (no per-run
     // elaborate/prepare) and a 16-lane batch of target-speed variants.
-    c.bench_function("fig5_momentum_1000_ticks_compiled", |b| {
-        let mut sim = automode_sim::CompiledSim::new(&m, id).unwrap();
-        let inputs = [("v_des", v.clone()), ("v_act", v.clone())];
-        b.iter(|| sim.run(&inputs, 1_000).unwrap())
-    });
-    c.bench_function("fig5_momentum_1000_ticks_batch16", |b| {
-        let sim = automode_sim::CompiledSim::new(&m, id).unwrap();
-        let lanes: Vec<Vec<(&str, automode_kernel::Stream)>> = (0..16)
-            .map(|l| {
-                let top = 15.0 + l as f64 * 2.0;
-                vec![
-                    ("v_des", automode_sim::stimulus::ramp(0.0, top, 1_000)),
-                    ("v_act", automode_sim::stimulus::ramp(0.0, top * 0.8, 1_000)),
-                ]
-            })
-            .collect();
-        let specs: Vec<automode_sim::BatchScenario<'_>> = lanes
-            .iter()
-            .map(|inp| automode_sim::BatchScenario::new(inp, 1_000))
-            .collect();
-        b.iter(|| sim.run_batch(&specs).unwrap())
-    });
+    arms.push(Arm::iter("fig5_momentum_1000_ticks_compiled", || {
+        sim.run(&inputs, 1_000).unwrap()
+    }));
+    arms.push(Arm::iter("fig5_momentum_1000_ticks_batch16", || {
+        batch_sim.run_batch(&specs).unwrap()
+    }));
+    time_and_print(arms);
 }
-
-fn fast_config() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .warm_up_time(std::time::Duration::from_millis(300))
-        .measurement_time(std::time::Duration::from_millis(800))
-}
-
-criterion_group! {
-    name = benches;
-    config = fast_config();
-    targets = bench
-}
-criterion_main!(benches);

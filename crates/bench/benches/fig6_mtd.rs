@@ -5,6 +5,7 @@
 //! overhead of explicit modes against a behaviourally equivalent flat
 //! conditional expression.
 
+use automode_bench::{time_and_print, Arm};
 use automode_core::model::{Behavior, Component, Model};
 use automode_core::types::DataType;
 use automode_engine::build_engine_modes;
@@ -12,7 +13,6 @@ use automode_kernel::{Message, Stream, Value};
 use automode_lang::parse;
 use automode_sim::stimulus::standard_engine_cycle;
 use automode_sim::{simulate_component, BatchScenario, CompiledSim};
-use criterion::{criterion_group, criterion_main, Criterion};
 
 fn cycle_inputs() -> (Stream, Stream, Stream, usize) {
     let (rpm, throttle) = standard_engine_cycle();
@@ -51,75 +51,12 @@ fn shape_report() {
     eprintln!("  fuel cut (ti = 0):      {}", has(&|x| x == 0.0));
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     shape_report();
     let (key, rpm, throttle, ticks) = cycle_inputs();
 
     let mut m = Model::new("fig6");
     let mtd = build_engine_modes(&mut m).unwrap();
-    c.bench_function("fig6_mtd_drive_cycle", |b| {
-        b.iter(|| {
-            simulate_component(
-                &m,
-                mtd,
-                &[
-                    ("key_on", key.clone()),
-                    ("rpm", rpm.clone()),
-                    ("throttle", throttle.clone()),
-                ],
-                ticks,
-            )
-            .unwrap()
-        })
-    });
-
-    // Batched drive-cycle sweep: 16 throttle-scaled variants of the cycle
-    // through the same MTD — the repeated single-run loop vs one reusable
-    // `CompiledSim` stepping lanes sequentially vs one lane-major batch.
-    let scaled_throttle = |factor: f64| -> Stream {
-        throttle
-            .iter()
-            .map(|m| match m.value().and_then(Value::as_float) {
-                Some(x) => Message::present(Value::Float((x * factor).min(1.0))),
-                None => Message::Absent,
-            })
-            .collect()
-    };
-    let sweep: Vec<Vec<(&str, Stream)>> = (0..16)
-        .map(|l| {
-            vec![
-                ("key_on", key.clone()),
-                ("rpm", rpm.clone()),
-                ("throttle", scaled_throttle(0.55 + 0.03 * l as f64)),
-            ]
-        })
-        .collect();
-    c.bench_function("fig6_cycle_sweep16_fresh", |b| {
-        b.iter(|| {
-            sweep
-                .iter()
-                .map(|inp| simulate_component(&m, mtd, inp, ticks).unwrap())
-                .collect::<Vec<_>>()
-        })
-    });
-    c.bench_function("fig6_cycle_sweep16_compiled_sequential", |b| {
-        let mut sim = CompiledSim::new(&m, mtd).unwrap();
-        b.iter(|| {
-            sweep
-                .iter()
-                .map(|inp| sim.run(inp, ticks).unwrap())
-                .collect::<Vec<_>>()
-        })
-    });
-    c.bench_function("fig6_cycle_sweep16_batch", |b| {
-        let sim = CompiledSim::new(&m, mtd).unwrap();
-        let specs: Vec<BatchScenario<'_>> = sweep
-            .iter()
-            .map(|inp| BatchScenario::new(inp, ticks))
-            .collect();
-        b.iter(|| sim.run_batch(&specs).unwrap())
-    });
-
     // Baseline: the same behaviour as one flat conditional expression (the
     // "traditional" If-Then-Else structure the paper argues against).
     let flat = m
@@ -143,33 +80,62 @@ fn bench(c: &mut Criterion) {
                 )),
         )
         .unwrap();
-    c.bench_function("fig6_flat_ite_baseline", |b| {
-        b.iter(|| {
-            simulate_component(
-                &m,
-                flat,
-                &[
-                    ("key_on", key.clone()),
-                    ("rpm", rpm.clone()),
-                    ("throttle", throttle.clone()),
-                ],
-                ticks,
-            )
-            .unwrap()
+    let cycle = || {
+        [
+            ("key_on", key.clone()),
+            ("rpm", rpm.clone()),
+            ("throttle", throttle.clone()),
+        ]
+    };
+
+    // Batched drive-cycle sweep: 16 throttle-scaled variants of the cycle
+    // through the same MTD — the repeated single-run loop vs one reusable
+    // `CompiledSim` stepping lanes sequentially vs one lane-major batch.
+    let scaled_throttle = |factor: f64| -> Stream {
+        throttle
+            .iter()
+            .map(|m| match m.value().and_then(Value::as_float) {
+                Some(x) => Message::present(Value::Float((x * factor).min(1.0))),
+                None => Message::Absent,
+            })
+            .collect()
+    };
+    let sweep: Vec<Vec<(&str, Stream)>> = (0..16)
+        .map(|l| {
+            vec![
+                ("key_on", key.clone()),
+                ("rpm", rpm.clone()),
+                ("throttle", scaled_throttle(0.55 + 0.03 * l as f64)),
+            ]
         })
-    });
+        .collect();
+    let mut sim = CompiledSim::new(&m, mtd).unwrap();
+    let batch_sim = CompiledSim::new(&m, mtd).unwrap();
+    let specs: Vec<BatchScenario<'_>> = sweep
+        .iter()
+        .map(|inp| BatchScenario::new(inp, ticks))
+        .collect();
+    time_and_print(vec![
+        Arm::iter("fig6_mtd_drive_cycle", || {
+            simulate_component(&m, mtd, &cycle(), ticks).unwrap()
+        }),
+        Arm::iter("fig6_cycle_sweep16_fresh", || {
+            sweep
+                .iter()
+                .map(|inp| simulate_component(&m, mtd, inp, ticks).unwrap())
+                .collect::<Vec<_>>()
+        }),
+        Arm::iter("fig6_cycle_sweep16_compiled_sequential", || {
+            sweep
+                .iter()
+                .map(|inp| sim.run(inp, ticks).unwrap())
+                .collect::<Vec<_>>()
+        }),
+        Arm::iter("fig6_cycle_sweep16_batch", || {
+            batch_sim.run_batch(&specs).unwrap()
+        }),
+        Arm::iter("fig6_flat_ite_baseline", || {
+            simulate_component(&m, flat, &cycle(), ticks).unwrap()
+        }),
+    ]);
 }
-
-fn fast_config() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .warm_up_time(std::time::Duration::from_millis(300))
-        .measurement_time(std::time::Duration::from_millis(800))
-}
-
-criterion_group! {
-    name = benches;
-    config = fast_config();
-    targets = bench
-}
-criterion_main!(benches);

@@ -6,13 +6,13 @@
 //! flagged, and the rule corresponds to observable platform behaviour
 //! (deterministic vs. schedule-dependent sampling on the OSEK simulator).
 
+use automode_bench::{time_and_print, Arm};
 use automode_core::ccd::{Ccd, CcdChannel, Cluster, FixedPriorityDataIntegrityPolicy};
 use automode_core::model::{Behavior, Component, Model};
 use automode_core::types::DataType;
 use automode_engine::ccd::build_engine_ccd;
 use automode_lang::parse;
 use automode_platform::osek::{IpcRegime, MessageConfig, OsekSim, SimRunnable, SimTask};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -120,28 +120,34 @@ fn shape_report() {
     assert!(deterministic && nondeterministic);
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     shape_report();
-    let mut group = c.benchmark_group("fig7_ccd_rules");
-    for &n in &[4usize, 16, 64, 256] {
-        let mut model = Model::new("bench");
-        let ccd = random_ccd(&mut model, n, 99, &[]);
-        let policy = FixedPriorityDataIntegrityPolicy::new();
-        group.bench_with_input(BenchmarkId::new("validate_clusters", n), &n, |b, _| {
-            b.iter(|| ccd.validate_against(&model, &policy).unwrap())
-        });
-    }
-    group.finish();
+    let policy = FixedPriorityDataIntegrityPolicy::new();
+    let random: Vec<(usize, Model, Ccd)> = [4usize, 16, 64, 256]
+        .into_iter()
+        .map(|n| {
+            let mut model = Model::new("bench");
+            let ccd = random_ccd(&mut model, n, 99, &[]);
+            (n, model, ccd)
+        })
+        .collect();
+    let mut engine_model = Model::new("fig7");
+    let (engine_ccd, _) = build_engine_ccd(&mut engine_model, 10, 100).unwrap();
+    let mut arms: Vec<Arm> = random
+        .iter()
+        .map(|(n, model, ccd)| {
+            Arm::iter(format!("fig7_ccd_rules/validate_clusters/{n}"), || {
+                ccd.validate_against(model, &policy).unwrap()
+            })
+        })
+        .collect();
 
     // Fig. 7 CCD end-to-end validation cost.
-    let mut model = Model::new("fig7");
-    let (ccd, _) = build_engine_ccd(&mut model, 10, 100).unwrap();
-    c.bench_function("fig7_engine_ccd_validate", |b| {
-        b.iter(|| {
-            ccd.validate_against(&model, &FixedPriorityDataIntegrityPolicy::new())
-                .unwrap()
-        })
-    });
+    arms.push(Arm::iter("fig7_engine_ccd_validate", || {
+        engine_ccd
+            .validate_against(&engine_model, &FixedPriorityDataIntegrityPolicy::new())
+            .unwrap()
+    }));
 
     // OSEK simulation cost per simulated second — ablation over the IPC
     // regime: the data-integrity mechanism's snapshot/publish overhead vs
@@ -159,34 +165,18 @@ fn bench(c: &mut Criterion) {
         ),
         ("fig7_osek_sim_1s_direct", IpcRegime::Direct, false),
     ] {
-        c.bench_function(label, |b| {
-            let msg = MessageConfig::new("m", 2);
-            let msg = if delayed { msg.delayed() } else { msg };
-            let sim = OsekSim::new(regime)
-                .task(SimTask::new("fast", 0, 10_000).runnable(SimRunnable::reader("r", "m")))
-                .unwrap()
-                .task(
-                    SimTask::new("slow", 1, 100_000)
-                        .runnable(SimRunnable::writer("w", "m", 2, 1_000)),
-                )
-                .unwrap()
-                .message(msg)
-                .unwrap();
-            b.iter(|| sim.run(1_000_000).unwrap())
-        });
+        let msg = MessageConfig::new("m", 2);
+        let msg = if delayed { msg.delayed() } else { msg };
+        let sim = OsekSim::new(regime)
+            .task(SimTask::new("fast", 0, 10_000).runnable(SimRunnable::reader("r", "m")))
+            .unwrap()
+            .task(
+                SimTask::new("slow", 1, 100_000).runnable(SimRunnable::writer("w", "m", 2, 1_000)),
+            )
+            .unwrap()
+            .message(msg)
+            .unwrap();
+        arms.push(Arm::iter(label, move || sim.run(1_000_000).unwrap()));
     }
+    time_and_print(arms);
 }
-
-fn fast_config() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .warm_up_time(std::time::Duration::from_millis(300))
-        .measurement_time(std::time::Duration::from_millis(800))
-}
-
-criterion_group! {
-    name = benches;
-    config = fast_config();
-    targets = bench
-}
-criterion_main!(benches);

@@ -5,11 +5,10 @@
 //! linear structural overhead (one selector + one instance per mode + one
 //! mux per output), and its runtime scales with the number of modes.
 
-use automode_bench::ring_mtd;
+use automode_bench::{ring_mtd, time_and_print, Arm};
 use automode_kernel::TraceEquivalence;
 use automode_sim::{simulate_component, stimulus};
 use automode_transform::mode_dataflow::{mtd_to_dataflow, partition_count};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn shape_report() {
     eprintln!("\n[E10 report] MTD -> dataflow equivalence and overhead:");
@@ -31,41 +30,33 @@ fn shape_report() {
     }
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     shape_report();
-    let mut group = c.benchmark_group("fig7b_mtd_to_dataflow");
-    for &modes in &[2usize, 8, 32] {
-        group.bench_with_input(BenchmarkId::new("transform", modes), &modes, |b, &modes| {
-            b.iter(|| {
-                let (mut model, owner) = ring_mtd(modes, 1);
-                mtd_to_dataflow(&mut model, owner).unwrap()
-            })
-        });
-
-        // Execution overhead: MTD interpreter vs. generated dataflow.
+    let x = stimulus::seeded_random(-1.0, 2.0, 500, 5);
+    // Execution overhead: MTD interpreter vs. generated dataflow.
+    let transformed = [2usize, 8, 32].map(|modes| {
         let (mut model, owner) = ring_mtd(modes, 1);
         let df = mtd_to_dataflow(&mut model, owner).unwrap();
-        let x = stimulus::seeded_random(-1.0, 2.0, 500, 5);
-        group.bench_with_input(BenchmarkId::new("run_mtd", modes), &modes, |b, _| {
-            b.iter(|| simulate_component(&model, owner, &[("x", x.clone())], 500).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("run_dataflow", modes), &modes, |b, _| {
-            b.iter(|| simulate_component(&model, df, &[("x", x.clone())], 500).unwrap())
-        });
+        (modes, model, owner, df)
+    });
+    let mut arms = Vec::new();
+    for (modes, model, owner, df) in &transformed {
+        let modes = *modes;
+        arms.push(Arm::iter(
+            format!("fig7b_mtd_to_dataflow/transform/{modes}"),
+            move || {
+                let (mut model, owner) = ring_mtd(modes, 1);
+                mtd_to_dataflow(&mut model, owner).unwrap()
+            },
+        ));
+        arms.push(Arm::iter(
+            format!("fig7b_mtd_to_dataflow/run_mtd/{modes}"),
+            || simulate_component(model, *owner, &[("x", x.clone())], 500).unwrap(),
+        ));
+        arms.push(Arm::iter(
+            format!("fig7b_mtd_to_dataflow/run_dataflow/{modes}"),
+            || simulate_component(model, *df, &[("x", x.clone())], 500).unwrap(),
+        ));
     }
-    group.finish();
+    time_and_print(arms);
 }
-
-fn fast_config() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .warm_up_time(std::time::Duration::from_millis(300))
-        .measurement_time(std::time::Duration::from_millis(800))
-}
-
-criterion_group! {
-    name = benches;
-    config = fast_config();
-    targets = bench
-}
-criterion_main!(benches);

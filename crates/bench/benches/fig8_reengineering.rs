@@ -9,11 +9,11 @@
 use automode_ascet::model::{
     AscetModel, AscetType, MessageDecl, MessageKind, Module, Process, Stmt,
 };
+use automode_bench::{time_and_print, Arm};
 use automode_core::model::Model;
 use automode_engine::reengineer_engine;
 use automode_lang::parse;
 use automode_transform::reengineer::reengineer_module;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn shape_report() {
     let r = reengineer_engine().unwrap();
@@ -67,35 +67,17 @@ fn scaled_module(n: usize) -> AscetModel {
     AscetModel::new("scaled_model").module(module)
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     shape_report();
-    c.bench_function("fig8_engine_reengineering", |b| {
-        b.iter(|| reengineer_engine().unwrap())
-    });
-
-    let mut group = c.benchmark_group("fig8_scaling");
-    for &n in &[10usize, 50, 200] {
-        let ascet = scaled_module(n);
-        group.bench_with_input(BenchmarkId::new("processes", n), &n, |b, _| {
-            b.iter(|| {
-                let mut model = Model::new("out");
-                reengineer_module(&ascet, "scaled", &mut model).unwrap()
-            })
-        });
+    let modules = [10usize, 50, 200].map(|n| (n, scaled_module(n)));
+    let mut arms = vec![Arm::iter("fig8_engine_reengineering", || {
+        reengineer_engine().unwrap()
+    })];
+    for (n, ascet) in &modules {
+        arms.push(Arm::iter(format!("fig8_scaling/processes/{n}"), || {
+            let mut model = Model::new("out");
+            reengineer_module(ascet, "scaled", &mut model).unwrap()
+        }));
     }
-    group.finish();
+    time_and_print(arms);
 }
-
-fn fast_config() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .warm_up_time(std::time::Duration::from_millis(300))
-        .measurement_time(std::time::Duration::from_millis(800))
-}
-
-criterion_group! {
-    name = benches;
-    config = fast_config();
-    targets = bench
-}
-criterion_main!(benches);

@@ -6,8 +6,8 @@
 //! (1–2 periods for typical CAN parameters), provided the consumer
 //! resynchronizes; the required depth grows with the latency envelope.
 
+use automode_bench::{time_and_print, Arm};
 use automode_platform::loose_sync::{required_depth, simulate, simulate_depths, LooseSyncConfig};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn shape_report() {
     eprintln!("\n[E13 report] loose synchronization: required delay depth");
@@ -37,53 +37,33 @@ fn shape_report() {
     );
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     shape_report();
-    let mut group = c.benchmark_group("loose_sync");
-    for &ticks in &[10_000u64, 100_000, 1_000_000] {
-        group.bench_with_input(
-            BenchmarkId::new("simulate_ticks", ticks),
-            &ticks,
-            |b, &t| b.iter(|| simulate(&LooseSyncConfig::typical_can(), 2, t, 1).unwrap()),
-        );
+    let depths: Vec<u32> = (0..=8).collect();
+    let mut arms = Vec::new();
+    for ticks in [10_000u64, 100_000, 1_000_000] {
+        arms.push(Arm::iter(
+            format!("loose_sync/simulate_ticks/{ticks}"),
+            move || simulate(&LooseSyncConfig::typical_can(), 2, ticks, 1).unwrap(),
+        ));
     }
     // Ablation: the envelope sweep (depths 0..=8) as one lane-major pass
     // over shared latency draws vs. nine sequential simulations.
-    let depths: Vec<u32> = (0..=8).collect();
-    for &ticks in &[10_000u64, 100_000] {
-        group.bench_with_input(
-            BenchmarkId::new("depth_sweep_lanes", ticks),
-            &ticks,
-            |b, &t| {
-                b.iter(|| simulate_depths(&LooseSyncConfig::typical_can(), &depths, t, 1).unwrap())
+    for ticks in [10_000u64, 100_000] {
+        let depths = &depths;
+        arms.push(Arm::iter(
+            format!("loose_sync/depth_sweep_lanes/{ticks}"),
+            move || simulate_depths(&LooseSyncConfig::typical_can(), depths, ticks, 1).unwrap(),
+        ));
+        arms.push(Arm::iter(
+            format!("loose_sync/depth_sweep_sequential/{ticks}"),
+            move || {
+                depths
+                    .iter()
+                    .map(|&d| simulate(&LooseSyncConfig::typical_can(), d, ticks, 1).unwrap())
+                    .collect::<Vec<_>>()
             },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("depth_sweep_sequential", ticks),
-            &ticks,
-            |b, &t| {
-                b.iter(|| {
-                    depths
-                        .iter()
-                        .map(|&d| simulate(&LooseSyncConfig::typical_can(), d, t, 1).unwrap())
-                        .collect::<Vec<_>>()
-                })
-            },
-        );
+        ));
     }
-    group.finish();
+    time_and_print(arms);
 }
-
-fn fast_config() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .warm_up_time(std::time::Duration::from_millis(300))
-        .measurement_time(std::time::Duration::from_millis(800))
-}
-
-criterion_group! {
-    name = benches;
-    config = fast_config();
-    targets = bench
-}
-criterion_main!(benches);

@@ -20,14 +20,14 @@
 //! `AUTOMODE_BENCH_ENFORCE=1` exits nonzero if gating yields < 2x on
 //! `multirate_sparse`.
 
+use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Instant;
 
+use automode_bench::{time_arms, Arm, Results};
 use automode_kernel::network::Network;
 use automode_kernel::ops::{BinOp, Block, Const, Delay, EveryClockGen, Lift1, Lift2, UnOp, When};
 use automode_kernel::{Clock, KernelError, Message, Tick, Value};
 use automode_lang::{parse, Expr, ExprBlock, SliceScope};
-use criterion::black_box;
 
 /// One sampled subsystem: `when(every(period))` feeding a strict `Lift1`
 /// chain of `depth` nodes, closed by a clocked `Delay` probe. Inactive at
@@ -179,74 +179,64 @@ fn build_expr_heavy(vm: bool) -> Network {
     net
 }
 
-/// Steady-state ticks/second of a prepared network over `row`.
-fn measure(mut ready: automode_kernel::ReadyNetwork, row: &[Message], ticks: usize) -> f64 {
-    for _ in 0..ticks / 10 {
-        black_box(ready.step_tick_observed(row).unwrap());
-    }
-    let start = Instant::now();
-    for _ in 0..ticks {
-        black_box(ready.step_tick_observed(row).unwrap());
-    }
-    ticks as f64 / start.elapsed().as_secs_f64()
+/// Arm `name`: `ticks` steps of a fresh copy of `ready` over `row`.
+fn stepping<'a>(
+    name: &str,
+    ready: &'a automode_kernel::ReadyNetwork,
+    row: &'a [Message],
+    ticks: usize,
+) -> Arm<'a> {
+    Arm::new(
+        name,
+        ticks as f64,
+        || ready.clone(),
+        move |ready| {
+            for _ in 0..ticks {
+                black_box(ready.step_tick_observed(row).unwrap());
+            }
+        },
+    )
 }
 
 fn main() {
-    let quick = automode_bench::quick_mode();
-    let ticks = if quick { 4_000 } else { 20_000 };
+    let ticks = if automode_bench::quick_mode() {
+        4_000
+    } else {
+        20_000
+    };
+    let mut results = Results::new("multirate_sparse", "ticks_per_second");
 
-    // Interleave and take the best of three rounds per variant so one
-    // scheduler hiccup cannot skew either side.
     let sparse_row = [Message::present(Value::Int(1))];
-    let mut gated = 0.0f64;
-    let mut ungated = 0.0f64;
-    for _ in 0..3 {
-        let ready = build_sparse().prepare().unwrap();
-        assert_eq!(ready.gated_hyperperiod(), Some(100), "plan must compile");
-        gated = gated.max(measure(ready, &sparse_row, ticks));
-        let mut plain = build_sparse().prepare().unwrap();
-        plain.disable_clock_gating();
-        ungated = ungated.max(measure(plain, &sparse_row, ticks));
-    }
-    let sparse_speedup = gated / ungated;
-    println!(
-        "multirate_sparse/gating     ungated: {ungated:>12.0} ticks/s   gated: {gated:>12.0} ticks/s   speedup: {sparse_speedup:.2}x"
+    let gated = build_sparse().prepare().unwrap();
+    assert_eq!(gated.gated_hyperperiod(), Some(100), "plan must compile");
+    let mut ungated = build_sparse().prepare().unwrap();
+    ungated.disable_clock_gating();
+    results.scenario(
+        "multirate_sparse",
+        time_arms(vec![
+            stepping("ungated", &ungated, &sparse_row, ticks),
+            stepping("gated", &gated, &sparse_row, ticks),
+        ]),
     );
+    let sparse_speedup = results.ratio("gated", "ungated");
+    results.gate_at_least("multirate_sparse", sparse_speedup, 2.0);
 
     let expr_row = [
         Message::present(Value::Int(7)),
         Message::present(Value::Int(-3)),
         Message::present(Value::Int(11)),
     ];
-    let mut bytecode = 0.0f64;
-    let mut ast = 0.0f64;
-    for _ in 0..3 {
-        bytecode = bytecode.max(measure(
-            build_expr_heavy(true).prepare().unwrap(),
-            &expr_row,
-            ticks,
-        ));
-        ast = ast.max(measure(
-            build_expr_heavy(false).prepare().unwrap(),
-            &expr_row,
-            ticks,
-        ));
-    }
-    let expr_speedup = bytecode / ast;
-    println!(
-        "expr_heavy/bytecode         ast:     {ast:>12.0} ticks/s   vm:    {bytecode:>12.0} ticks/s   speedup: {expr_speedup:.2}x"
+    let ast = build_expr_heavy(false).prepare().unwrap();
+    let bytecode = build_expr_heavy(true).prepare().unwrap();
+    results.scenario(
+        "expr_heavy",
+        time_arms(vec![
+            stepping("ast", &ast, &expr_row, ticks),
+            stepping("bytecode", &bytecode, &expr_row, ticks),
+        ]),
     );
+    results.ratio("bytecode", "ast");
 
-    let json = format!(
-        "{{\n  \"bench\": \"multirate_sparse\",\n  \"unit\": \"ticks_per_second\",\n  \"scenarios\": {{\n    \"multirate_sparse\": {{ \"ticks\": {ticks}, \"ungated\": {ungated:.0}, \"gated\": {gated:.0}, \"speedup\": {sparse_speedup:.2} }},\n    \"expr_heavy\": {{ \"ticks\": {ticks}, \"ast\": {ast:.0}, \"bytecode\": {bytecode:.0}, \"speedup\": {expr_speedup:.2} }}\n  }}\n}}\n"
-    );
-    automode_bench::write_results("BENCH_clock.json", &json);
-
-    if std::env::var("AUTOMODE_BENCH_ENFORCE").is_ok_and(|v| v == "1") {
-        if sparse_speedup < 2.0 {
-            eprintln!("FAIL: clock-gating speedup is {sparse_speedup:.2}x (< 2x gate)");
-            std::process::exit(1);
-        }
-        println!("gate: clock-gating speedup is {sparse_speedup:.2}x (>= 2x)");
-    }
+    results.data(format!(r#"{{"ticks":{ticks}}}"#));
+    automode_bench::write_results("BENCH_clock.json", results);
 }

@@ -5,6 +5,7 @@
 //! inter-ECU signals land in the communication matrix and the derived CAN
 //! bus stays feasible; generation cost scales with the cluster count.
 
+use automode_bench::{time_and_print, Arm};
 use automode_core::ccd::{Ccd, CcdChannel, Cluster, FixedPriorityDataIntegrityPolicy};
 use automode_core::model::{Behavior, Component, Model};
 use automode_core::types::DataType;
@@ -12,7 +13,6 @@ use automode_engine::ccd::{build_engine_ccd, engine_cluster_wcets};
 use automode_lang::parse;
 use automode_platform::can::BusSim;
 use automode_transform::deploy::{deploy, DeploymentSpec};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn shape_report() {
     let mut model = Model::new("fig7");
@@ -85,37 +85,20 @@ fn chained_ccd(model: &mut Model, n: usize) -> (Ccd, DeploymentSpec) {
     (ccd, spec)
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     shape_report();
-    let mut group = c.benchmark_group("oa_codegen");
-    for &n in &[4usize, 16, 64] {
+    let chains = [4usize, 16, 64].map(|n| {
         let mut model = Model::new("chain");
         let (ccd, spec) = chained_ccd(&mut model, n);
-        group.bench_with_input(BenchmarkId::new("deploy_clusters", n), &n, |b, _| {
-            b.iter(|| {
-                deploy(
-                    &model,
-                    &ccd,
-                    &FixedPriorityDataIntegrityPolicy::new(),
-                    &spec,
-                )
-                .unwrap()
+        (n, model, ccd, spec)
+    });
+    let arms = chains
+        .iter()
+        .map(|(n, model, ccd, spec)| {
+            Arm::iter(format!("oa_codegen/deploy_clusters/{n}"), || {
+                deploy(model, ccd, &FixedPriorityDataIntegrityPolicy::new(), spec).unwrap()
             })
-        });
-    }
-    group.finish();
+        })
+        .collect();
+    time_and_print(arms);
 }
-
-fn fast_config() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .warm_up_time(std::time::Duration::from_millis(300))
-        .measurement_time(std::time::Duration::from_millis(800))
-}
-
-criterion_group! {
-    name = benches;
-    config = fast_config();
-    targets = bench
-}
-criterion_main!(benches);

@@ -24,11 +24,9 @@
 //! are semantic, not just throughput floors: fault-free must be clean,
 //! saturation must violate, and the dropout must be detected.
 
-use std::fmt::Write as _;
-use std::hint::black_box;
-use std::time::Instant;
-
+use automode_bench::{time_arms, Arm, Results};
 use automode_core::ccd::FixedPriorityDataIntegrityPolicy;
+use automode_core::json::JsonWriter;
 use automode_engine::{engine_ccd_stimulus, engine_cosim_parts, engine_platform_scenarios};
 use automode_platform::cosim::{CosimConfig, PlatformFault};
 use automode_transform::cosim::{CosimHarness, CosimReport};
@@ -80,30 +78,25 @@ fn e20_point(babble_period_us: u64, ticks: u64) -> E20Point {
     }
 }
 
-struct Gate {
-    name: &'static str,
-    ok: bool,
-    detail: String,
-}
-
 fn main() {
     let quick = automode_bench::quick_mode();
     let sweep_ticks: u64 = if quick { 240 } else { 1_000 };
     let tp_ticks: u64 = if quick { 2_000 } else { 10_000 };
+    let mut results = Results::new("platform_cosim", "ticks_per_second");
 
     // Throughput of the full differential pipeline on one prepared harness.
     let (m, ccd, spec) = engine_cosim_parts().unwrap();
     let d = deploy(&m, &ccd, &FixedPriorityDataIntegrityPolicy::new(), &spec).unwrap();
     let harness = CosimHarness::new(&m, &ccd, &d, &spec, CosimConfig::default()).unwrap();
     let stim = engine_ccd_stimulus(tp_ticks);
-    black_box(harness.run(&stim, tp_ticks).unwrap());
-    let mut ticks_per_s = 0.0f64;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        black_box(harness.run(&stim, tp_ticks).unwrap());
-        ticks_per_s = ticks_per_s.max(tp_ticks as f64 / t0.elapsed().as_secs_f64());
-    }
-    println!("throughput: {ticks_per_s:>10.0} differential ticks/s ({tp_ticks} ticks/run)");
+    let timings = time_arms(vec![Arm::new(
+        "differential",
+        tp_ticks as f64,
+        || (),
+        |()| harness.run(&stim, tp_ticks).unwrap(),
+    )]);
+    let ticks_per_s = timings[0].median;
+    results.scenario("throughput", timings);
 
     // E20: babble period 0 = no interference; below ~266 µs the offered
     // load exceeds 1.0 and the id-0x08 babbler starves the real frames.
@@ -135,82 +128,65 @@ fn main() {
         lost_report.robustness.violations.len()
     );
 
-    let mut curve_json = String::new();
-    for (i, pt) in curve.iter().enumerate() {
-        let _ = write!(
-            curve_json,
-            "{}      {{ \"babble_period_us\": {}, \"bus_load\": {:.3}, \"pubs\": {}, \"misses\": {}, \"worst_slack_us\": {} }}",
-            if i == 0 { "" } else { ",\n" },
-            pt.babble_period_us,
-            pt.bus_load,
-            pt.pubs,
-            pt.misses,
-            pt.worst_slack_us
-        );
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.field("throughput_ticks").uint(tp_ticks);
+    w.field("e20").begin_object();
+    w.field("ticks").uint(sweep_ticks);
+    w.field("curve").begin_array();
+    for pt in &curve {
+        w.begin_object();
+        w.field("babble_period_us").uint(pt.babble_period_us);
+        w.field("bus_load")
+            .number((pt.bus_load * 1000.0).round() / 1000.0);
+        w.field("pubs").uint(pt.pubs);
+        w.field("misses").uint(pt.misses);
+        w.field("worst_slack_us").number(pt.worst_slack_us as f64);
+        w.end_object();
     }
-    let json = format!(
-        "{{\n  \"bench\": \"platform_cosim\",\n  \"scenarios\": {{\n    \"throughput\": {{ \"ticks\": {tp_ticks}, \"differential_ticks_per_s\": {ticks_per_s:.0} }},\n    \"e20\": {{ \"ticks\": {sweep_ticks}, \"curve\": [\n{curve_json}\n    ] }},\n    \"lost_frame\": {{ \"ticks\": {sweep_ticks}, \"violations\": {}, \"detection_latency_ticks\": {} }}\n  }}\n}}\n",
-        lost_report.robustness.violations.len(),
-        detection.map_or("null".to_string(), |l| l.to_string()),
-    );
-    automode_bench::write_results("BENCH_platform.json", &json);
+    w.end_array();
+    w.end_object();
+    w.field("lost_frame").begin_object();
+    w.field("ticks").uint(sweep_ticks);
+    w.field("violations")
+        .uint(lost_report.robustness.violations.len() as u64);
+    w.field("detection_latency_ticks");
+    match detection {
+        Some(l) => w.uint(l),
+        None => w.null(),
+    };
+    w.end_object();
+    w.end_object();
+    results.data(w.finish());
 
-    if std::env::var("AUTOMODE_BENCH_ENFORCE").is_ok_and(|v| v == "1") {
-        let nominal = &curve[0];
-        let saturated = curve.last().unwrap();
-        let tp_floor = if quick { 5_000.0 } else { 10_000.0 };
-        let gates = [
-            Gate {
-                name: "nominal_clean",
-                ok: nominal.misses == 0 && nominal.worst_slack_us > 0,
-                detail: format!(
-                    "misses {} worst slack {} us",
-                    nominal.misses, nominal.worst_slack_us
-                ),
-            },
-            Gate {
-                name: "saturation_violates",
-                ok: saturated.misses > 0,
-                detail: format!(
-                    "misses {} at {:.1}% load",
-                    saturated.misses,
-                    saturated.bus_load * 100.0
-                ),
-            },
-            Gate {
-                name: "curve_monotone_ends",
-                ok: saturated.misses >= nominal.misses
-                    && saturated.worst_slack_us < nominal.worst_slack_us,
-                detail: format!(
-                    "misses {} -> {}, worst slack {} -> {} us",
-                    nominal.misses,
-                    saturated.misses,
-                    nominal.worst_slack_us,
-                    saturated.worst_slack_us
-                ),
-            },
-            Gate {
-                name: "lost_frame_detected",
-                ok: detection.is_some(),
-                detail: format!("detection latency {detection:?}"),
-            },
-            Gate {
-                name: "throughput_floor",
-                ok: ticks_per_s >= tp_floor,
-                detail: format!("{ticks_per_s:.0} ticks/s (floor {tp_floor:.0})"),
-            },
-        ];
-        let mut failed = false;
-        for g in &gates {
-            if g.ok {
-                println!("gate: {} OK ({})", g.name, g.detail);
-            } else {
-                eprintln!("FAIL: {} ({})", g.name, g.detail);
-                failed = true;
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-    }
+    // The gates are semantic: fault-free clean, saturation violating
+    // (with the curve's ends ordered), the dropout detected within the
+    // run, plus a throughput floor.
+    let nominal = &curve[0];
+    let saturated = curve.last().unwrap();
+    results.gate_at_most("nominal_clean misses", nominal.misses as f64, 0.0);
+    results.gate_at_least(
+        "nominal_clean worst_slack_us",
+        nominal.worst_slack_us as f64,
+        1.0,
+    );
+    results.gate_at_least("saturation_violates misses", saturated.misses as f64, 1.0);
+    results.gate_at_least(
+        "curve_monotone_ends misses gained",
+        saturated.misses as f64 - nominal.misses as f64,
+        0.0,
+    );
+    results.gate_at_least(
+        "curve_monotone_ends worst_slack_us lost",
+        (nominal.worst_slack_us - saturated.worst_slack_us) as f64,
+        1.0,
+    );
+    results.gate_at_most(
+        "lost_frame_detected latency_ticks",
+        detection.map_or(f64::NAN, |l| l as f64),
+        sweep_ticks as f64,
+    );
+    let tp_floor = if quick { 5_000.0 } else { 10_000.0 };
+    results.gate_at_least("throughput_floor", ticks_per_s, tp_floor);
+    automode_bench::write_results("BENCH_platform.json", results);
 }

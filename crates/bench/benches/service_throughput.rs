@@ -17,8 +17,10 @@
 //! gap is exactly what the compiled-model cache plus K-lane sharding
 //! buy over recompile-and-loop.
 //!
-//! Per-request wall latency is recorded client-side in a
-//! `core::metrics::LatencyHistogram`; p50/p99/max land in the report.
+//! Each side runs in its own fresh server per timed round (started
+//! untimed). Per-request wall latency is recorded client-side in a
+//! `core::metrics::LatencyHistogram` per side; p50/p99/max over every
+//! request (the warm-up round's included) land in the report.
 //!
 //! Writes `BENCH_service.json` at the repository root
 //! (under `target/bench-quick/` in quick mode).
@@ -30,7 +32,7 @@
 use std::net::SocketAddr;
 use std::time::Instant;
 
-use automode_bench::random_causal_dfd;
+use automode_bench::{random_causal_dfd, time_arms, Arm, Results};
 use automode_core::json::JsonWriter;
 use automode_core::metrics::LatencyHistogram;
 use automode_core::text::to_text;
@@ -54,28 +56,9 @@ fn sweep_body(model_text: &str, count: usize, ticks: usize, lanes: usize) -> Str
     )
 }
 
-struct Measured {
-    requests: usize,
-    scenarios: u64,
-    secs: f64,
-    p50_us: u64,
-    p99_us: u64,
-    max_us: u64,
-}
-
-impl Measured {
-    fn scenarios_per_second(&self) -> f64 {
-        self.scenarios as f64 / self.secs
-    }
-}
-
 /// Posts every body in order, asserting each stream arrives complete
-/// with one line per scenario, and returns wall throughput + latency
-/// quantiles.
-fn drive(addr: SocketAddr, bodies: &[String], count: usize) -> Measured {
-    let hist = LatencyHistogram::new();
-    let mut scenarios = 0u64;
-    let start = Instant::now();
+/// with one line per scenario, and records each request's wall latency.
+fn drive(addr: SocketAddr, bodies: &[String], count: usize, hist: &LatencyHistogram) {
     for body in bodies {
         let t0 = Instant::now();
         let resp = post_sweep(addr, body).expect("sweep request");
@@ -86,30 +69,16 @@ fn drive(addr: SocketAddr, bodies: &[String], count: usize) -> Measured {
         assert_eq!(resp.lines.len(), count + 2, "short stream");
         let done = resp.lines.last().unwrap();
         assert!(done.contains(r#""status":"ok""#), "sweep failed: {done}");
-        scenarios += count as u64;
-    }
-    let secs = start.elapsed().as_secs_f64();
-    Measured {
-        requests: bodies.len(),
-        scenarios,
-        secs,
-        p50_us: hist.quantile(0.5),
-        p99_us: hist.quantile(0.99),
-        max_us: hist.quantile(1.0),
     }
 }
 
-fn report(side: &str, m: &Measured) {
-    println!(
-        "service_throughput/{side:<9} {:>8.1} scen/s   ({} requests, {} scenarios, {:.3}s)   p50: {}us   p99: {}us   max: {}us",
-        m.scenarios_per_second(),
-        m.requests,
-        m.scenarios,
-        m.secs,
-        m.p50_us,
-        m.p99_us,
-        m.max_us
-    );
+/// A histogram's p50/p99/max as a JSON object.
+fn latency_json(w: &mut JsonWriter, hist: &LatencyHistogram) {
+    w.begin_object();
+    w.field("p50").uint(hist.quantile(0.5));
+    w.field("p99").uint(hist.quantile(0.99));
+    w.field("max").uint(hist.quantile(1.0));
+    w.end_object();
 }
 
 fn main() {
@@ -119,9 +88,9 @@ fn main() {
     // request — its steady-state production rate — instead of rounding
     // up to a larger fraction.
     let (nodes, requests, count, ticks) = if quick {
-        (48, 6, 16 * K, 20)
+        (48, 2, 16 * K, 20)
     } else {
-        (64, 16, 16 * K, 40)
+        (64, 4, 16 * K, 40)
     };
 
     // Distinct model per request, one lane per shard — every submission
@@ -138,90 +107,69 @@ fn main() {
     let cached_body = sweep_body(&to_text(&m), count, ticks, K);
     let cached_bodies: Vec<String> = (0..requests).map(|_| cached_body.clone()).collect();
 
-    let workers = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-
-    // Uncached single-threaded baseline: one simulation worker, and the
-    // per-request distinct models above guarantee a miss every time.
-    let uncached = {
-        let server = serve(ServerConfig {
-            workers: 1,
-            conn_threads: 1,
-            ..ServerConfig::default()
-        })
-        .expect("bind uncached server");
-        let m = drive(server.addr(), &uncached_bodies, count);
-        server.shutdown();
-        m
-    };
-    report("uncached", &uncached);
-
-    // Cached sharded path: full worker pool, one warm-up request to
-    // populate the cache, then every timed request is a hit.
-    let cached = {
-        let server = serve(ServerConfig {
-            workers,
-            conn_threads: 2,
-            ..ServerConfig::default()
-        })
-        .expect("bind cached server");
-        let warm = post_sweep(server.addr(), &cached_body).expect("warm-up sweep");
-        assert_eq!(warm.status, 200);
-        assert!(
-            warm.lines[0].contains(r#""cache":"miss""#),
-            "warm-up was not a miss"
-        );
-        let m = drive(server.addr(), &cached_bodies, count);
-        server.shutdown();
-        m
-    };
-    report("cached", &cached);
-
-    let speedup = cached.scenarios_per_second() / uncached.scenarios_per_second();
-    println!("service_throughput/speedup  cached vs uncached at K={K}: {speedup:.2}x");
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"service_throughput\",\n",
-            "  \"unit\": \"scenarios_per_second\",\n",
-            "  \"k_lanes\": {k},\n",
-            "  \"model_nodes\": {nodes},\n",
-            "  \"scenarios_per_request\": {count},\n",
-            "  \"ticks_per_scenario\": {ticks},\n",
-            "  \"requests_per_side\": {requests},\n",
-            "  \"sim_workers_cached\": {workers},\n",
-            "  \"quick\": {quick},\n",
-            "  \"uncached_single_threaded\": {{ \"lanes\": 1, \"workers\": 1, \"scenarios_per_second\": {u_tp:.1}, \"latency_us\": {{ \"p50\": {u50}, \"p99\": {u99}, \"max\": {umax} }} }},\n",
-            "  \"cached_sharded\": {{ \"lanes\": {k}, \"workers\": {workers}, \"scenarios_per_second\": {c_tp:.1}, \"latency_us\": {{ \"p50\": {c50}, \"p99\": {c99}, \"max\": {cmax} }} }},\n",
-            "  \"speedup_cached_vs_uncached\": {speedup:.2}\n",
-            "}}\n"
+    let workers = std::thread::available_parallelism().map_or(1, usize::from);
+    let (uncached_hist, cached_hist) = (LatencyHistogram::new(), LatencyHistogram::new());
+    let work = (requests * count) as f64;
+    let timings = time_arms(vec![
+        // Uncached single-threaded baseline: one simulation worker, and
+        // each round's fresh server misses on every distinct model above.
+        Arm::new(
+            "uncached",
+            work,
+            || {
+                serve(ServerConfig {
+                    workers: 1,
+                    conn_threads: 1,
+                    ..ServerConfig::default()
+                })
+                .expect("bind uncached server")
+            },
+            |server| drive(server.addr(), &uncached_bodies, count, &uncached_hist),
         ),
-        k = K,
-        nodes = nodes,
-        count = count,
-        ticks = ticks,
-        requests = requests,
-        workers = workers,
-        quick = quick,
-        u_tp = uncached.scenarios_per_second(),
-        u50 = uncached.p50_us,
-        u99 = uncached.p99_us,
-        umax = uncached.max_us,
-        c_tp = cached.scenarios_per_second(),
-        c50 = cached.p50_us,
-        c99 = cached.p99_us,
-        cmax = cached.max_us,
-        speedup = speedup,
-    );
-    automode_bench::write_results("BENCH_service.json", &json);
+        // Cached sharded path: full worker pool, one warm-up request to
+        // populate the cache, then every timed request is a hit.
+        Arm::new(
+            "cached",
+            work,
+            || {
+                let server = serve(ServerConfig {
+                    workers,
+                    conn_threads: 2,
+                    ..ServerConfig::default()
+                })
+                .expect("bind cached server");
+                let warm = post_sweep(server.addr(), &cached_body).expect("warm-up sweep");
+                assert_eq!(warm.status, 200);
+                assert!(
+                    warm.lines[0].contains(r#""cache":"miss""#),
+                    "warm-up was not a miss"
+                );
+                server
+            },
+            |server| drive(server.addr(), &cached_bodies, count, &cached_hist),
+        ),
+    ]);
 
-    if std::env::var("AUTOMODE_BENCH_ENFORCE").is_ok_and(|v| v == "1") {
-        if speedup < 3.0 {
-            eprintln!("FAIL: cached sharded vs uncached single-threaded at K={K} is {speedup:.2}x (< 3x gate)");
-            std::process::exit(1);
-        }
-        println!("gate: cached sharded >= 3x uncached single-threaded at K={K}");
-    }
+    let mut results = Results::new("service_throughput", "scenarios_per_second");
+    results.scenario(format!("K={K}"), timings);
+    let speedup = results.ratio("cached", "uncached");
+    results.gate_at_least(format!("cached/uncached at K={K}"), speedup, 3.0);
+
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.field("k_lanes").uint(K as u64);
+    w.field("model_nodes").uint(nodes as u64);
+    w.field("scenarios_per_request").uint(count as u64);
+    w.field("ticks_per_scenario").uint(ticks as u64);
+    w.field("requests_per_round").uint(requests as u64);
+    w.field("sim_workers_cached").uint(workers as u64);
+    w.field("latency_us").begin_object();
+    w.field("uncached");
+    latency_json(&mut w, &uncached_hist);
+    w.field("cached");
+    latency_json(&mut w, &cached_hist);
+    w.end_object();
+    w.end_object();
+    results.data(w.finish());
+    automode_bench::write_results("BENCH_service.json", results);
 }

@@ -33,14 +33,12 @@
 //! (under `target/bench-quick/` in quick mode).
 //! `AUTOMODE_BENCH_QUICK=1` shrinks the workload for CI smoke runs (with
 //! proportionally looser gates); `AUTOMODE_BENCH_ENFORCE=1` exits nonzero
-//! when a gate fails.
+//! when a gate fails. Every gate compares the two arms' median rates.
 
-use std::time::Instant;
-
+use automode_bench::{time_arms, Arm, Results};
 use automode_kernel::network::Network;
 use automode_kernel::ops::{BinOp, Const, Delay, EveryClockGen, Lift1, Lift2, UnOp, When};
-use automode_kernel::{Clock, EngineKind, Message, Trace, Value};
-use criterion::black_box;
+use automode_kernel::{Clock, EngineKind, Message, ReadyNetwork, Trace, Value};
 
 /// One sampled subsystem: `when(every(period))` feeding a strict `Lift1`
 /// chain of `depth` nodes, closed by a clocked `Delay` probe.
@@ -138,50 +136,55 @@ fn build_dense() -> Network {
     net
 }
 
-/// Ticks/second of `run` over `stim` (trace building included), best of
-/// one warmup plus timed repetition.
-fn measure_run(ready: &mut automode_kernel::ReadyNetwork, stim: &[Vec<Message>]) -> f64 {
-    ready.reset();
-    black_box(ready.run(stim).unwrap());
-    ready.reset();
-    let start = Instant::now();
-    black_box(ready.run(stim).unwrap());
-    stim.len() as f64 / start.elapsed().as_secs_f64()
+/// Arm `name`: `run` over `stim` (trace building included) on a fresh
+/// copy of `ready`.
+fn run<'a>(name: &str, ready: &'a ReadyNetwork, stim: &'a [Vec<Message>]) -> Arm<'a> {
+    Arm::new(
+        name,
+        stim.len() as f64,
+        || ready.clone(),
+        |ready| ready.run(stim).unwrap(),
+    )
 }
 
-/// Ticks/second of a per-tick `step_tick_observed` + `push_row_indexed`
-/// loop — exactly what `run` did before silent-stretch fast-forwarding.
-fn measure_step_loop(ready: &mut automode_kernel::ReadyNetwork, stim: &[Vec<Message>]) -> f64 {
-    let names: Vec<String> = {
-        ready.reset();
-        let t = ready.run(&stim[..1.min(stim.len())]).unwrap();
-        t.signal_names().map(str::to_string).collect()
-    };
-    let go = |ready: &mut automode_kernel::ReadyNetwork| {
-        ready.reset();
-        let mut trace = Trace::new();
-        for n in &names {
-            trace.declare(n.clone());
-        }
-        for row in stim {
-            let observed = ready.step_tick_observed(row).unwrap();
-            trace.push_row_indexed(observed).unwrap();
-        }
-        trace
-    };
-    black_box(go(ready));
-    let start = Instant::now();
-    black_box(go(ready));
-    stim.len() as f64 / start.elapsed().as_secs_f64()
+/// Arm `name`: a per-tick `step_tick_observed` + `push_row_indexed` loop
+/// over `stim` on a fresh copy of `ready` — exactly what `run` did before
+/// silent-stretch fast-forwarding.
+fn step_loop<'a>(name: &str, ready: &'a ReadyNetwork, stim: &'a [Vec<Message>]) -> Arm<'a> {
+    let names: Vec<String> = ready
+        .clone()
+        .run(&stim[..1.min(stim.len())])
+        .unwrap()
+        .signal_names()
+        .map(str::to_string)
+        .collect();
+    Arm::new(
+        name,
+        stim.len() as f64,
+        || ready.clone(),
+        move |ready| {
+            let mut trace = Trace::new();
+            for n in &names {
+                trace.declare(n.clone());
+            }
+            for row in stim {
+                let observed = ready.step_tick_observed(row).unwrap();
+                trace.push_row_indexed(observed).unwrap();
+            }
+            trace
+        },
+    )
 }
 
-/// Lane-ticks/second of `run_batch` over `k` equal lanes.
-fn measure_batch(ready: &automode_kernel::ReadyNetwork, stim: &[Vec<Message>], k: usize) -> f64 {
-    let lanes: Vec<Vec<Vec<Message>>> = (0..k).map(|_| stim.to_vec()).collect();
-    black_box(ready.run_batch(&lanes).unwrap());
-    let start = Instant::now();
-    black_box(ready.run_batch(&lanes).unwrap());
-    (stim.len() * k) as f64 / start.elapsed().as_secs_f64()
+/// Arm `name`: `run_batch` of `lanes` on `ready`, in lane-ticks.
+fn batch<'a>(name: &str, ready: &'a ReadyNetwork, lanes: &'a [Vec<Vec<Message>>]) -> Arm<'a> {
+    let lane_ticks = lanes.iter().map(Vec::len).sum::<usize>();
+    Arm::new(
+        name,
+        lane_ticks as f64,
+        || (),
+        |()| ready.run_batch(lanes).unwrap(),
+    )
 }
 
 fn present_rows(ticks: usize) -> Vec<Vec<Message>> {
@@ -190,195 +193,116 @@ fn present_rows(ticks: usize) -> Vec<Vec<Message>> {
         .collect()
 }
 
-struct Gate {
-    name: &'static str,
-    speedup: f64,
-    min: f64,
+/// `build()` prepared with clock gating off: the dense schedule.
+fn dense_plan(build: fn() -> Network) -> ReadyNetwork {
+    let mut plain = build().prepare().unwrap();
+    plain.disable_clock_gating();
+    plain
+}
+
+/// `build()` prepared, asserting its plan compiles to `kind`.
+fn plan_of_kind(build: impl Fn() -> Network, kind: EngineKind) -> ReadyNetwork {
+    let ready = build().prepare().unwrap();
+    let info = ready.plan_info();
+    assert_eq!(info.kind, kind, "{info}");
+    ready
 }
 
 fn main() {
     let quick = automode_bench::quick_mode();
     let ticks = if quick { 4_000 } else { 20_000 };
     let silent_ticks = if quick { 20_000 } else { 200_000 };
+    let mut results = Results::new("sparse_multirate_event", "ticks_per_second");
 
     // mixed: heap backend vs the dense fallback these nets were stuck with.
-    let mixed_stim = present_rows(ticks);
-    let mut event = 0.0f64;
-    let mut dense = 0.0f64;
-    for _ in 0..3 {
-        let mut ready = build_mixed().prepare().unwrap();
-        let info = ready.plan_info();
-        assert_eq!(
-            info.kind,
-            EngineKind::Heap,
-            "mixed must use the heap: {info}"
-        );
-        event = event.max(measure_step_loop(&mut ready, &mixed_stim));
-        let mut plain = build_mixed().prepare().unwrap();
-        plain.disable_clock_gating();
-        dense = dense.max(measure_step_loop(&mut plain, &mixed_stim));
-    }
-    let mixed_speedup = event / dense;
-    println!(
-        "mixed/heap_vs_dense         dense: {dense:>12.0} ticks/s   event: {event:>12.0} ticks/s   speedup: {mixed_speedup:.2}x"
+    let stim = present_rows(ticks);
+    let mixed = plan_of_kind(build_mixed, EngineKind::Heap);
+    let mixed_dense = dense_plan(build_mixed);
+    results.scenario(
+        "mixed",
+        time_arms(vec![
+            step_loop("dense", &mixed_dense, &stim),
+            step_loop("event", &mixed, &stim),
+        ]),
     );
+    let mixed_speedup = results.ratio("event", "dense");
 
     // silent: fast-forwarding run vs the per-tick gated walk on one wheel.
     let silent_stim: Vec<Vec<Message>> = vec![Vec::new(); silent_ticks];
-    let mut ff = 0.0f64;
-    let mut walk = 0.0f64;
-    for _ in 0..3 {
-        let mut ready = build_silent(true).prepare().unwrap();
-        let info = ready.plan_info();
-        assert_eq!(
-            info.kind,
-            EngineKind::Wheel,
-            "silent must compile a wheel: {info}"
-        );
-        ff = ff.max(measure_run(&mut ready, &silent_stim));
-        walk = walk.max(measure_step_loop(&mut ready, &silent_stim));
-    }
-    let silent_speedup = ff / walk;
-    println!(
-        "silent/ff_vs_gated_walk     walk:  {walk:>12.0} ticks/s   event: {ff:>12.0} ticks/s   speedup: {silent_speedup:.2}x"
+    let silent = plan_of_kind(|| build_silent(true), EngineKind::Wheel);
+    results.scenario(
+        "silent",
+        time_arms(vec![
+            step_loop("gated_walk", &silent, &silent_stim),
+            run("event", &silent, &silent_stim),
+        ]),
     );
+    let silent_speedup = results.ratio("event", "gated_walk");
 
     // silent_headless: same clusters, nothing probed — the engine alone.
-    let mut ff_hl = 0.0f64;
-    let mut walk_hl = 0.0f64;
-    for _ in 0..3 {
-        let mut ready = build_silent(false).prepare().unwrap();
-        let info = ready.plan_info();
-        assert_eq!(
-            info.kind,
-            EngineKind::Wheel,
-            "headless must compile a wheel: {info}"
-        );
-        ff_hl = ff_hl.max(measure_run(&mut ready, &silent_stim));
-        walk_hl = walk_hl.max(measure_step_loop(&mut ready, &silent_stim));
-    }
-    let headless_speedup = ff_hl / walk_hl;
-    println!(
-        "silent_headless/ff_vs_walk  walk:  {walk_hl:>12.0} ticks/s   event: {ff_hl:>12.0} ticks/s   speedup: {headless_speedup:.2}x"
+    let headless = plan_of_kind(|| build_silent(false), EngineKind::Wheel);
+    results.scenario(
+        "silent_headless",
+        time_arms(vec![
+            step_loop("gated_walk", &headless, &silent_stim),
+            run("event", &headless, &silent_stim),
+        ]),
     );
+    let headless_speedup = results.ratio("event", "gated_walk");
 
     // dense_guard: run must not regress vs the per-tick walk when nothing
     // can be skipped.
-    let dense_stim = present_rows(ticks);
-    let mut guarded = 0.0f64;
-    let mut walk_dense = 0.0f64;
-    for _ in 0..3 {
-        let mut ready = build_dense().prepare().unwrap();
-        assert_eq!(ready.gated_hyperperiod(), Some(100), "dense shape wheel");
-        guarded = guarded.max(measure_run(&mut ready, &dense_stim));
-        walk_dense = walk_dense.max(measure_step_loop(&mut ready, &dense_stim));
-    }
-    let dense_ratio = guarded / walk_dense;
-    println!(
-        "dense_guard/run_vs_walk     walk:  {walk_dense:>12.0} ticks/s   run:   {guarded:>12.0} ticks/s   ratio:   {dense_ratio:.2}x"
+    let dense = build_dense().prepare().unwrap();
+    assert_eq!(dense.gated_hyperperiod(), Some(100), "dense shape wheel");
+    results.scenario(
+        "dense_guard",
+        time_arms(vec![
+            step_loop("walk", &dense, &stim),
+            run("run", &dense, &stim),
+        ]),
     );
+    let dense_ratio = results.ratio("run", "walk");
 
     // batch_guard: the unified event-driven batch loop vs the dense batch
     // walk on the same shape, K = 8 lanes.
-    let batch_stim = present_rows(ticks / 4);
-    let mut batch_event = 0.0f64;
-    let mut batch_dense = 0.0f64;
-    for _ in 0..3 {
-        let ready = build_dense().prepare().unwrap();
-        batch_event = batch_event.max(measure_batch(&ready, &batch_stim, 8));
-        let mut plain = build_dense().prepare().unwrap();
-        plain.disable_clock_gating();
-        batch_dense = batch_dense.max(measure_batch(&plain, &batch_stim, 8));
-    }
-    let batch_ratio = batch_event / batch_dense;
-    println!(
-        "batch_guard/event_vs_dense  dense: {batch_dense:>12.0} lane-ticks/s   event: {batch_event:>12.0} lane-ticks/s   ratio:   {batch_ratio:.2}x"
+    let lanes = vec![present_rows(ticks / 4); 8];
+    let dense_batch = dense_plan(build_dense);
+    results.scenario(
+        "batch_guard",
+        time_arms(vec![
+            batch("dense", &dense_batch, &lanes),
+            batch("event", &dense, &lanes),
+        ]),
     );
+    let batch_ratio = results.ratio("event", "dense");
 
-    let json = format!(
-        "{{\n  \"bench\": \"sparse_multirate_event\",\n  \"unit\": \"ticks_per_second\",\n  \"scenarios\": {{\n    \"mixed\": {{ \"ticks\": {ticks}, \"dense\": {dense:.0}, \"event\": {event:.0}, \"speedup\": {mixed_speedup:.2} }},\n    \"silent\": {{ \"ticks\": {silent_ticks}, \"gated_walk\": {walk:.0}, \"event\": {ff:.0}, \"speedup\": {silent_speedup:.2} }},\n    \"silent_headless\": {{ \"ticks\": {silent_ticks}, \"gated_walk\": {walk_hl:.0}, \"event\": {ff_hl:.0}, \"speedup\": {headless_speedup:.2} }},\n    \"dense_guard\": {{ \"ticks\": {ticks}, \"walk\": {walk_dense:.0}, \"run\": {guarded:.0}, \"ratio\": {dense_ratio:.2} }},\n    \"batch_guard\": {{ \"lane_ticks\": {}, \"dense\": {batch_dense:.0}, \"event\": {batch_event:.0}, \"ratio\": {batch_ratio:.2} }}\n  }}\n}}\n",
-        batch_stim.len() * 8
-    );
-    automode_bench::write_results("BENCH_event.json", &json);
-
-    if std::env::var("AUTOMODE_BENCH_ENFORCE").is_ok_and(|v| v == "1") {
-        // Quick mode runs tiny workloads on noisy CI runners; gates scale
-        // accordingly. Full-mode gates match the acceptance criteria.
-        // The probed `silent` gate is deliberately modest: both sides pay
-        // the memory-bandwidth-bound dense trace fill (see module docs),
-        // so the engine's win there tops out near 2x. `silent_headless`
-        // carries the uncapped engine-only gate.
-        let gates = if quick {
-            [
-                Gate {
-                    name: "mixed",
-                    speedup: mixed_speedup,
-                    min: 2.5,
-                },
-                Gate {
-                    name: "silent",
-                    speedup: silent_speedup,
-                    min: 1.3,
-                },
-                Gate {
-                    name: "silent_headless",
-                    speedup: headless_speedup,
-                    min: 5.0,
-                },
-                Gate {
-                    name: "dense_guard",
-                    speedup: dense_ratio,
-                    min: 0.85,
-                },
-                Gate {
-                    name: "batch_guard",
-                    speedup: batch_ratio,
-                    min: 0.85,
-                },
-            ]
-        } else {
-            [
-                Gate {
-                    name: "mixed",
-                    speedup: mixed_speedup,
-                    min: 5.0,
-                },
-                Gate {
-                    name: "silent",
-                    speedup: silent_speedup,
-                    min: 1.5,
-                },
-                Gate {
-                    name: "silent_headless",
-                    speedup: headless_speedup,
-                    min: 8.0,
-                },
-                Gate {
-                    name: "dense_guard",
-                    speedup: dense_ratio,
-                    min: 0.95,
-                },
-                Gate {
-                    name: "batch_guard",
-                    speedup: batch_ratio,
-                    min: 0.95,
-                },
-            ]
-        };
-        let mut failed = false;
-        for g in &gates {
-            if g.speedup < g.min {
-                eprintln!(
-                    "FAIL: {} is {:.2}x (< {:.2}x gate)",
-                    g.name, g.speedup, g.min
-                );
-                failed = true;
-            } else {
-                println!("gate: {} is {:.2}x (>= {:.2}x)", g.name, g.speedup, g.min);
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
+    // Quick mode runs tiny workloads on noisy CI runners; gates scale
+    // accordingly. Full-mode gates match the acceptance criteria.
+    // The probed `silent` gate is deliberately modest: both sides pay
+    // the memory-bandwidth-bound dense trace fill (see module docs),
+    // so the engine's win there tops out near 2x. `silent_headless`
+    // carries the uncapped engine-only gate.
+    let mins = if quick {
+        [2.5, 1.3, 5.0, 0.85, 0.85]
+    } else {
+        [5.0, 1.5, 8.0, 0.95, 0.95]
+    };
+    for ((name, value), min) in [
+        ("mixed", mixed_speedup),
+        ("silent", silent_speedup),
+        ("silent_headless", headless_speedup),
+        ("dense_guard", dense_ratio),
+        ("batch_guard", batch_ratio),
+    ]
+    .into_iter()
+    .zip(mins)
+    {
+        results.gate_at_least(name, value, min);
     }
+
+    results.data(format!(
+        r#"{{"ticks":{ticks},"silent_ticks":{silent_ticks},"batch_lanes":8,"batch_lane_ticks":{}}}"#,
+        ticks / 4
+    ));
+    automode_bench::write_results("BENCH_event.json", results);
 }

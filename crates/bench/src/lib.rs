@@ -1,12 +1,20 @@
 //! # automode-bench
 //!
-//! Shared workload generators for the benchmark harness. Every figure of
-//! the paper has a bench target under `benches/` (see `EXPERIMENTS.md` for
-//! the experiment index); this library provides the parameterized model
-//! generators they sweep over.
+//! The benchmark harness. Every figure of the paper has a bench target
+//! under `benches/` (see `EXPERIMENTS.md` for the experiment index); this
+//! library provides the parameterized model generators they sweep over,
+//! the one timer they all use ([`time_arms`]: named arms in interleaved
+//! rounds, each arm's median/p10/p90 rate) and the one results writer
+//! ([`Results`]: the schema every `BENCH_*.json` shares).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+mod harness;
+
+pub use harness::{
+    enforce_mode, quick_mode, time_and_print, time_arms, write_results, Arm, Results, Timing,
+};
 
 use automode_core::model::{
     Behavior, Component, ComponentId, Composite, CompositeKind, Endpoint, Model, Primitive,
@@ -357,32 +365,6 @@ pub fn accumulator() -> (Model, ComponentId) {
         .unwrap();
     model.set_root(top);
     (model, top)
-}
-
-/// Whether `AUTOMODE_BENCH_QUICK=1` asks for the small CI workload.
-pub fn quick_mode() -> bool {
-    std::env::var("AUTOMODE_BENCH_QUICK").is_ok_and(|v| v == "1")
-}
-
-/// Writes a bench's JSON results as `file` (e.g. `BENCH_batch.json`): at
-/// the repository root for a full run, under `target/bench-quick/` for a
-/// quick one, so a smoke run never overwrites the committed results.
-///
-/// # Panics
-///
-/// If the file cannot be written.
-pub fn write_results(file: &str, json: &str) {
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let dir = if quick_mode() {
-        format!("{root}/target/bench-quick")
-    } else {
-        root.to_string()
-    };
-    let path = format!("{dir}/{file}");
-    std::fs::create_dir_all(&dir)
-        .and_then(|()| std::fs::write(&path, json))
-        .unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}");
 }
 
 #[cfg(test)]

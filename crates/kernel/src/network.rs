@@ -408,6 +408,7 @@ impl Network {
             plan: Plan::default(),
             kept: None,
             forwarded_reads: Vec::new(),
+            causal_order: Vec::new(),
             heap_state: None,
             n_inputs: self.input_names.len(),
             probe_names,
@@ -423,10 +424,12 @@ impl Network {
             vectorize_batch: true,
             tick: 0,
         };
+        let order: Vec<u32> = order.into_iter().map(node_id).collect();
         let no_keep = vec![false; n];
         let (plan, forwarded_reads) = ready.forward(slots, probe_slots, &order, &no_keep, true);
         ready.plan = plan;
         ready.forwarded_reads = forwarded_reads;
+        ready.causal_order = order;
         Ok(ready)
     }
 
@@ -485,6 +488,11 @@ enum Slot {
     Arena(usize),
     /// An index into the external input row.
     External(usize),
+}
+
+/// A node, port or reader index as the `u32` a compiled plan stores.
+fn node_id(i: usize) -> u32 {
+    u32::try_from(i).expect("port and node indices fit in u32")
 }
 
 /// Whether node `block` is an identity wire a plan may forward: the
@@ -703,6 +711,10 @@ pub struct ReadyNetwork {
     /// the unforwarded wiring when a fault plan keeps a wire. `u32` halves
     /// what a cached model keeps of it.
     forwarded_reads: Vec<(u32, u32)>,
+    /// The causality check's full evaluation order, forwarded wires
+    /// included: the order a plan keeping some of them steps. `u32`
+    /// halves what a cached model keeps of it.
+    causal_order: Vec<u32>,
     /// The heap backend's positional cursor for the incremental path
     /// (lazily created; batch runs use their own local cursors).
     heap_state: Option<Box<HeapState>>,
@@ -843,15 +855,15 @@ impl ReadyNetwork {
     /// `order` in that order. Every reader of an identity wire not in
     /// `keep` reads the wire's own source instead, through chains of
     /// wires: an arena cell, an external input or `Open`. Those wires
-    /// leave the order, the commit list and the engine; a kept wire
-    /// missing from `order` steps right after its source. With `gated`
-    /// off the engine is dense. Also returns the forwarded readers (see
-    /// `forwarded_reads`).
+    /// leave the order, the commit list and the engine; every other node
+    /// steps in its place in `order`, the causality check's full order.
+    /// With `gated` off the engine is dense. Also returns the forwarded
+    /// readers (see `forwarded_reads`).
     fn forward(
         &self,
         mut slots: Vec<Slot>,
         mut probe_slots: Vec<Slot>,
-        order: &[usize],
+        order: &[u32],
         keep: &[bool],
         gated: bool,
     ) -> (Plan, Vec<(u32, u32)>) {
@@ -878,13 +890,12 @@ impl ReadyNetwork {
                 s
             })
             .collect();
-        let id = |i: usize| u32::try_from(i).expect("port and node indices fit in u32");
         let mut reads = Vec::new();
         for i in (0..n).filter(|&i| !forwarded[i]) {
             let lo = self.slot_offset[i];
             for (k, slot) in (lo..).zip(&mut slots[lo..self.slot_offset[i + 1]]) {
                 if let Some(w) = wire_of(*slot) {
-                    reads.push((id(k), id(w)));
+                    reads.push((node_id(k), node_id(w)));
                     *slot = root[w];
                 }
             }
@@ -892,35 +903,16 @@ impl ReadyNetwork {
         let ni = slots.len();
         for (j, s) in probe_slots.iter_mut().enumerate() {
             if let Some(w) = wire_of(*s) {
-                reads.push((id(ni + j), id(w)));
+                reads.push((node_id(ni + j), node_id(w)));
                 *s = root[w];
             }
         }
 
-        // A kept wire missing from `order` reads a stepped node, another
-        // kept wire, an external input or `Open`: it steps right after the
-        // node it reads, or first.
-        let mut listed = vec![false; n];
-        for &i in order {
-            listed[i] = true;
-        }
-        let missing: Vec<usize> = (0..n).filter(|&i| !forwarded[i] && !listed[i]).collect();
-        let reads_node = |w: usize| match slots[self.slot_offset[w]] {
-            Slot::Arena(a) => Some(self.arena_owner(a).0),
-            _ => None,
-        };
-        let mut plan_order = Vec::with_capacity(n);
-        let mut stack = Vec::new();
-        let heads = missing.iter().copied().filter(|&w| reads_node(w).is_none());
-        let stepped = order.iter().copied().filter(|&i| !forwarded[i]);
-        for head in heads.chain(stepped) {
-            stack.push(head);
-            while let Some(x) = stack.pop() {
-                plan_order.push(x);
-                stack.extend(missing.iter().rev().filter(|&&w| reads_node(w) == Some(x)));
-            }
-        }
-        debug_assert_eq!(plan_order.len(), forwarded.iter().filter(|&&f| !f).count());
+        let mut plan_order: Vec<usize> = order
+            .iter()
+            .map(|&i| i as usize)
+            .filter(|&i| !forwarded[i])
+            .collect();
         // A compiled model stays cached for many runs: keep no spare room.
         plan_order.shrink_to_fit();
         reads.shrink_to_fit();
@@ -1003,7 +995,7 @@ impl ReadyNetwork {
         }
         let gated = !matches!(self.plan.engine, Engine::Dense);
         Some(
-            self.forward(slots, probe_slots, &self.plan.order, &keep, gated)
+            self.forward(slots, probe_slots, &self.causal_order, &keep, gated)
                 .0,
         )
     }
@@ -1832,6 +1824,7 @@ impl Clone for ReadyNetwork {
             plan: self.plan.clone(),
             kept: self.kept.clone(),
             forwarded_reads: self.forwarded_reads.clone(),
+            causal_order: self.causal_order.clone(),
             slot_offset: self.slot_offset.clone(),
             inst_bits: self.inst_bits.clone(),
             heap_state: self.heap_state.clone(),

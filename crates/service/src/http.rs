@@ -228,7 +228,15 @@ struct Request {
     body: String,
 }
 
-fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, ServiceError> {
+/// Reads one request from `stream`. It buffers at most `MAX_HEADER` +
+/// 4 KiB of head and `max_body` + 4 KiB of body; a declared body over
+/// `max_body` is drained (discarded, up to 64 MiB) before the 413.
+///
+/// # Errors
+///
+/// A typed [`ServiceError`] for every malformed, truncated or oversized
+/// request, and for socket errors.
+fn read_request<R: Read>(stream: &mut R, max_body: usize) -> Result<Request, ServiceError> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 4096];
     let header_end = loop {
@@ -615,4 +623,137 @@ fn stats_body(shared: &Shared) -> String {
     w.end_object();
     w.end_object();
     w.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+    use std::io::Cursor;
+
+    /// The largest body the fuzzed reader accepts: small, so the filler
+    /// after a request can overrun every buffer the reader may keep.
+    const MAX_BODY: usize = 1024;
+    /// Filler bytes after each fuzzed request: more than the reader may
+    /// ever buffer (`MAX_HEADER` + 4 KiB + `MAX_BODY`).
+    const FILLER: usize = 24 * 1024;
+
+    fn post(path: &str, body: &str) -> Vec<u8> {
+        format!(
+            "POST {path} HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .into_bytes()
+    }
+
+    /// Valid `/sweep` and `/explore` requests to mutate.
+    fn seeds() -> Vec<Vec<u8>> {
+        let model = "model t\n\ncomponent Gain {\n  in u: float\n  out y: float\n  expr y = (u * 2.0)\n}\n\nroot Gain\n";
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.field("model").string(model);
+        w.end_object();
+        let base = w.finish();
+        let with = |extra: &str| format!("{},{extra}}}", &base[..base.len() - 1]);
+        vec![
+            post(
+                "/sweep",
+                &with(
+                    r#""count":8,"ticks":6,"lanes":4,"inputs":[{"port":"u","kind":"ramp","from":0.0,"to":3.0}]"#,
+                ),
+            ),
+            post(
+                "/explore",
+                &with(
+                    r#""generations":2,"population":4,"ticks":8,"seed":1,"ranges":[{"port":"u","lo":0,"hi":1}]"#,
+                ),
+            ),
+            b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n".to_vec(),
+        ]
+    }
+
+    /// One mutation of `bytes`, picked and placed by `op` and `at`.
+    fn mutate(mut bytes: Vec<u8>, op: u8, at: usize, byte: u8, len: usize) -> Vec<u8> {
+        let at = at % (bytes.len() + 1);
+        match op % 4 {
+            0 => bytes.truncate(at),
+            1 => {
+                if let Some(b) = bytes.get_mut(at) {
+                    *b ^= byte | 1;
+                }
+            }
+            // Splice: repeat a slice of the request at `at`.
+            2 => {
+                let end = (at + len).min(bytes.len());
+                let piece = bytes[at..end].to_vec();
+                bytes.splice(at..at, piece);
+            }
+            _ => {
+                bytes.splice(at..at, std::iter::repeat_n(byte, len));
+            }
+        }
+        bytes
+    }
+
+    /// Runs the reader over `input` as sent, and again with `FILLER` more
+    /// bytes after it. Each run gives a request or a typed error, never a
+    /// panic; a request's body goes through `core::json::parse`; and the
+    /// run with filler reads no more than the reader may buffer.
+    fn check(input: &[u8]) -> Result<(), TestCaseError> {
+        for filler in [0, FILLER] {
+            let mut bytes = input.to_vec();
+            bytes.resize(input.len() + filler, b'x');
+            let mut stream = Cursor::new(bytes);
+            let result = read_request(&mut stream, MAX_BODY);
+            let read = stream.position() as usize;
+            // The 413 drain reads into the fixed chunk and keeps nothing.
+            let drained =
+                matches!(&result, Err(ServiceError::TooLarge(m)) if m.starts_with("body of"));
+            prop_assert!(
+                drained || read <= MAX_HEADER + 4096 + MAX_BODY,
+                "read {read} bytes: {result:?}",
+                result = result.as_ref().map(|r| (&r.method, &r.path)),
+            );
+            match result {
+                Ok(req) => {
+                    prop_assert!(req.body.len() <= MAX_BODY);
+                    let _ = automode_core::json::parse(&req.body);
+                }
+                Err(ServiceError::BadRequest(_) | ServiceError::TooLarge(_)) => {}
+                Err(e) => prop_assert!(false, "unexpected error kind: {e}"),
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn seed_requests_read_back_whole() {
+        for seed in seeds() {
+            let req = read_request(&mut Cursor::new(seed), MAX_BODY).unwrap();
+            assert!(req.body.is_empty() || automode_core::json::parse(&req.body).is_ok());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
+            check(&bytes)?;
+            let _ = automode_core::json::parse(&String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn mutated_requests_never_panic(
+            which in 0usize..3,
+            ops in prop::collection::vec((any::<u8>(), any::<usize>(), any::<u8>(), 0usize..64), 1..4),
+        ) {
+            let mut bytes = seeds().swap_remove(which);
+            for (op, at, byte, len) in ops {
+                bytes = mutate(bytes, op, at, byte, len);
+            }
+            check(&bytes)?;
+        }
+    }
 }

@@ -33,6 +33,7 @@ pub struct PoolStats {
     pub workers: usize,
     /// Pool jobs executed to completion: one per sweep shard, one per
     /// explore claimer (however many shards it claimed, none included).
+    /// A job that panicked is not counted.
     pub executed: u64,
 }
 
@@ -198,8 +199,14 @@ fn worker_loop(queue: &Mutex<Receiver<Job>>, executed: &AtomicU64) {
         // worker can take a job while this one runs.
         let job = queue.lock().expect("job queue poisoned").recv();
         let Ok(job) = job else { return };
-        job();
-        executed.fetch_add(1, Relaxed);
+        // A job that panics costs only itself: its captures (a shard's or
+        // claimer's sender included) drop as it unwinds, so whoever waits
+        // on it sees a disconnect, and this worker takes the next job.
+        // Nothing the job shared is left half-updated: results only leave
+        // a job through its channel.
+        if std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).is_ok() {
+            executed.fetch_add(1, Relaxed);
+        }
     }
 }
 
@@ -349,6 +356,19 @@ mod tests {
             "the caller must panic, not hang or return"
         );
         caller.join().unwrap();
+    }
+
+    #[test]
+    fn a_panicking_job_does_not_cost_its_worker() {
+        let pool = WorkerPool::new(1);
+        pool.submit(|| panic!("this job fails on purpose"));
+        let (tx, rx) = std::sync::mpsc::channel();
+        pool.submit(move || tx.send(()).expect("the test waits"));
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(10)),
+            Ok(()),
+            "the only worker must survive the panic and run the next job"
+        );
     }
 
     #[test]

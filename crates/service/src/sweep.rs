@@ -519,7 +519,10 @@ fn execute_checked(
     let mut sink_err: Option<std::io::Error> = None;
     let mut shard_idx = 0;
     while let Some(rx) = in_flight.pop_front() {
-        let out = rx.recv().expect("a shard job sends its output");
+        // A shard job that panicked dropped its sender unsent.
+        let out = rx
+            .recv()
+            .unwrap_or_else(|_| failed_shard(spec, shard_idx, "shard job panicked"));
         outcome.oracle_shards += usize::from(oracle_samples(shard_idx, every));
         let sent = match (out, &sink_err) {
             // The client is gone: drop the shard, checking nothing.
@@ -678,13 +681,7 @@ fn run_shard(spec: &SweepSpec, sim: &CompiledSim, sampled: bool, shard_idx: usiz
     let runs = match sim.run_batch(&scenarios) {
         Ok(runs) if sampled => return ShardOut::Unchecked(runs),
         Ok(runs) => runs,
-        Err(e) => {
-            let msg = format!("simulation failed: {e}");
-            return ShardOut::Lines {
-                lines: (start..end).map(|i| error_line(i, &msg)).collect(),
-                failed: true,
-            };
-        }
+        Err(e) => return failed_shard(spec, shard_idx, &format!("simulation failed: {e}")),
     };
     let monitor = spec.robustness.then(|| sim.monitor());
     // Each run is dropped as soon as its line is encoded, so a shard never
@@ -697,6 +694,16 @@ fn run_shard(spec: &SweepSpec, sim: &CompiledSim, sampled: bool, shard_idx: usiz
     ShardOut::Lines {
         lines,
         failed: false,
+    }
+}
+
+/// Shard `shard_idx` as one `msg` error line per scenario, failed.
+fn failed_shard(spec: &SweepSpec, shard_idx: usize, msg: &str) -> ShardOut {
+    let start = shard_idx * spec.lanes;
+    let end = (start + spec.lanes).min(spec.count);
+    ShardOut::Lines {
+        lines: (start..end).map(|i| error_line(i, msg)).collect(),
+        failed: true,
     }
 }
 

@@ -298,6 +298,12 @@ fn over_budget_sweep_is_rejected_up_front_and_the_next_one_runs() {
     let done = parse(resp.lines.last().unwrap()).unwrap();
     let done = done.get("done").expect("done line");
     assert_eq!(done.get("status").unwrap().as_str(), Some("ok"));
+    // A shard job sends its lines before its worker counts it, so the
+    // count may trail the finished stream briefly: wait for it.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while stats("pool", "executed") < 3 && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
     assert_eq!(stats("pool", "executed"), 3);
     server.shutdown();
 }
